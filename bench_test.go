@@ -6,11 +6,11 @@
 package lams_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"lams/internal/cache"
-	"lams/internal/core"
 	"lams/internal/experiments"
 	"lams/internal/improve"
 	"lams/internal/order"
@@ -18,6 +18,7 @@ import (
 	"lams/internal/reuse"
 	"lams/internal/smooth"
 	"lams/internal/trace"
+	"lams/pkg/lams"
 )
 
 // benchVerts keeps the benchmark meshes small enough that the full suite
@@ -46,7 +47,7 @@ func benchSuite(b *testing.B) *experiments.Suite {
 // pipeline (domain sampling, Delaunay triangulation, carving).
 func BenchmarkTable1MeshGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := core.BuildMesh("carabiner", benchVerts)
+		m, err := lams.GenerateMesh("carabiner", benchVerts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,12 +90,12 @@ func BenchmarkFig6IterationProfile(b *testing.B) {
 // runs of the smoother on this host: one sub-benchmark per ordering, so the
 // reported ns/op ARE the Figure 8 bars.
 func BenchmarkFig8SerialSmoothing(b *testing.B) {
-	m, err := core.BuildMesh("carabiner", benchVerts)
+	m, err := lams.GenerateMesh("carabiner", benchVerts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, ordName := range []string{"ORI", "BFS", "RDR"} {
-		re, err := core.ReorderByName(m, ordName)
+		re, err := lams.Reorder(m, ordName)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,11 +225,11 @@ func penaltyFor(b *testing.B, s *experiments.Suite, ord order.Ordering, cfg cach
 	if err != nil {
 		b.Fatal(err)
 	}
-	re, err := core.Reorder(m, ord)
+	re, err := lams.ReorderWith(m, ord)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tb, err := core.SmoothTraced(re.Mesh.Clone(), 1, 2)
+	_, tb, err := lams.SmoothTraced(context.Background(), re.Mesh.Clone(), 1, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func BenchmarkAblationRDRMetric(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, tb, err := core.SmoothTraced(rm, 1, 2)
+			_, tb, err := lams.SmoothTraced(context.Background(), rm, 1, 2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -476,7 +477,7 @@ func BenchmarkImproveSwapEdges(b *testing.B) {
 // BenchmarkOrderingsCompute measures the pure reordering cost (§5.4) of
 // each ordering, excluding smoothing.
 func BenchmarkOrderingsCompute(b *testing.B) {
-	m, err := core.BuildMesh("carabiner", benchVerts)
+	m, err := lams.GenerateMesh("carabiner", benchVerts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,7 +516,7 @@ func BenchmarkReuseDistanceAnalyzer(b *testing.B) {
 // goroutine counts (on this host; the paper-scale 32-core curve is modeled
 // by BenchmarkFig10to13Scaling).
 func BenchmarkParallelSmoothing(b *testing.B) {
-	m, err := core.BuildMesh("ocean", benchVerts)
+	m, err := lams.GenerateMesh("ocean", benchVerts)
 	if err != nil {
 		b.Fatal(err)
 	}

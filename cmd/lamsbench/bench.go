@@ -16,17 +16,19 @@ import (
 )
 
 // The -json benchmark: the full converge loop (sweep + global quality
-// measurement per iteration) across dimensions, worker counts, and both
-// engine paths, written as machine-readable JSON. The committed
+// measurement per iteration) across dimensions and worker counts (1 and
+// runtime.NumCPU()), written as machine-readable JSON. The committed
 // BENCH_smooth.json at the repository root is this report from the
-// CI-class container — its iface entries are the baseline the fast-path
-// speedups are measured against; CI regenerates and uploads the report on
-// every run so the quality trajectory is never empty again.
+// CI-class container; CI regenerates and uploads the report on every run so
+// the quality trajectory is never empty again.
 //
-// The two paths of one (dim, workers) cell are timed in interleaved reps —
-// iface op, fast op, iface op, ... — so a shared-CPU frequency or quota
-// shift during the run degrades both paths alike instead of poisoning the
-// comparison.
+// Every op is warmed up once on the very mesh and engine its reps then
+// time, so the reps measure the steady state: a partitioned engine's cached
+// decomposition belongs to the timed mesh, not to a throwaway copy. Ops
+// compared with each other (the single engine against the partitioned
+// driver) are timed in interleaved reps — single op, partitioned op, single
+// op, ... — so a shared-CPU frequency or quota shift during the run
+// degrades both alike instead of poisoning the comparison.
 //
 // The report also carries a "setup" section: cold-start phase timings
 // (mesh build, CSR construction, Hilbert key sort, greedy walk) so the
@@ -47,10 +49,12 @@ type benchResult struct {
 	Interior int    `json:"interior"`
 	// Elements is the metric-pass element count: triangles (dim 2) or
 	// tetrahedra (dim 3).
-	Elements   int    `json:"elements"`
-	Workers    int    `json:"workers"`
-	Schedule   string `json:"schedule"`
-	Path       string `json:"path"` // "iface" (baseline) or "fast"
+	Elements int    `json:"elements"`
+	Workers  int    `json:"workers"`
+	Schedule string `json:"schedule"`
+	// Path is set on the partition section's cells: "single" or
+	// "partitioned".
+	Path       string `json:"path,omitempty"`
 	CheckEvery int    `json:"check_every"`
 	Iterations int    `json:"iterations"`
 	Reps       int    `json:"reps"`
@@ -97,7 +101,8 @@ type partitionLayoutResult struct {
 
 // partitionSection is the -partitions report section: the decomposition
 // config, per-dimension layout statistics, and the converge-loop timing
-// cells (paths "single" and "partitioned") appended to the main results.
+// cells (paths "single" and "partitioned", at workers = NumCPU) appended to
+// the main results.
 type partitionSection struct {
 	Partitions  int                     `json:"partitions"`
 	Partitioner string                  `json:"partitioner"`
@@ -116,7 +121,7 @@ type benchReport struct {
 	Results   []benchResult     `json:"results"`
 }
 
-// pathTiming accumulates one path's interleaved reps.
+// pathTiming accumulates one op's reps.
 type pathTiming struct {
 	reps         int
 	best         int64
@@ -227,28 +232,36 @@ func timeOp(op func() error) (time.Duration, uint64, uint64, error) {
 	return d, ms1.Mallocs - ms0.Mallocs, ms1.TotalAlloc - ms0.TotalAlloc, err
 }
 
-// benchPair runs the iface and fast ops of one (dim, workers) cell in
-// interleaved reps and returns their timings.
-func benchPair(opIface, opFast func() error) (iface, fast pathTiming, err error) {
+// benchOps times the given ops in interleaved reps — one rep of each op per
+// round — and returns one timing per op. It runs at least two rounds and
+// stops after five or once the rounds have taken four seconds.
+func benchOps(ops ...func() error) ([]pathTiming, error) {
 	const (
 		minTime = 4 * time.Second
 		maxReps = 5
 	)
+	timings := make([]pathTiming, len(ops))
 	var total time.Duration
 	for rep := 0; rep < maxReps && (rep < 2 || total < minTime); rep++ {
-		d, allocs, size, e := timeOp(opIface)
-		if e != nil {
-			return iface, fast, e
+		for i, op := range ops {
+			d, allocs, size, err := timeOp(op)
+			if err != nil {
+				return nil, err
+			}
+			timings[i].add(d, allocs, size)
+			total += d
 		}
-		iface.add(d, allocs, size)
-		total += d
-		if d, allocs, size, e = timeOp(opFast); e != nil {
-			return iface, fast, e
-		}
-		fast.add(d, allocs, size)
-		total += d
 	}
-	return iface, fast, nil
+	return timings, nil
+}
+
+// benchWorkers is the worker axis of the converge cells: serial, and every
+// CPU of the host.
+func benchWorkers() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
 }
 
 // runBenchJSON runs the converge benchmark and writes the report to path.
@@ -276,27 +289,19 @@ func runBenchJSON(path, schedule string, verts2, cells3, checkEvery, partitions 
 	}
 	ctx := context.Background()
 
-	for _, workers := range []int{1, 4, 8} {
-		// 2D cell: one engine and mesh per path, interleaved reps.
-		optI := smooth.Options{
+	for _, workers := range benchWorkers() {
+		opt := smooth.Options{
 			MaxIters: benchIters, Tol: -1, Traversal: smooth.StorageOrder,
-			Workers: workers, Schedule: schedule, NoFastPath: true, CheckEvery: checkEvery,
+			Workers: workers, Schedule: schedule, CheckEvery: checkEvery,
 		}
-		optF := optI
-		optF.NoFastPath = false
-		engI, engF := smooth.NewSmoother(), smooth.NewSmoother()
-		meshI, meshF := m2.Clone(), m2.Clone()
-		warm, err := engF.Run(ctx, meshF.Clone(), optF)
+
+		// 2D cell: warm up on the timed mesh and engine, then time reps.
+		eng, m := smooth.NewSmoother(), m2.Clone()
+		warm, err := eng.Run(ctx, m, opt)
 		if err != nil {
 			return err
 		}
-		if _, err := engI.Run(ctx, meshI.Clone(), optI); err != nil {
-			return err
-		}
-		ti, tf, err := benchPair(
-			func() error { _, err := engI.Run(ctx, meshI, optI); return err },
-			func() error { _, err := engF.Run(ctx, meshF, optF); return err },
-		)
+		t, err := benchOps(func() error { _, err := eng.Run(ctx, m, opt); return err })
 		if err != nil {
 			return err
 		}
@@ -306,29 +311,15 @@ func runBenchJSON(path, schedule string, verts2, cells3, checkEvery, partitions 
 			CheckEvery: checkEvery, Iterations: warm.Iterations,
 			QualityTrajectory: warm.QualityHistory,
 		}
-		rep.Results = append(rep.Results, cell(base, "iface", ti), cell(base, "fast", tf))
-		report(os.Stderr, rep.Results[len(rep.Results)-2:])
+		rep.Results = append(rep.Results, cell(base, "", t[0]))
 
 		// 3D cell.
-		optI3 := smooth.Options{
-			MaxIters: benchIters, Tol: -1, Traversal: smooth.StorageOrder,
-			Workers: workers, Schedule: schedule, NoFastPath: true, CheckEvery: checkEvery,
-		}
-		optF3 := optI3
-		optF3.NoFastPath = false
-		engI3, engF3 := smooth.NewSmoother(), smooth.NewSmoother()
-		meshI3, meshF3 := m3.Clone(), m3.Clone()
-		warm3, err := engF3.RunTet(ctx, meshF3.Clone(), optF3)
+		eng3, mt := smooth.NewSmoother(), m3.Clone()
+		warm3, err := eng3.RunTet(ctx, mt, opt)
 		if err != nil {
 			return err
 		}
-		if _, err := engI3.RunTet(ctx, meshI3.Clone(), optI3); err != nil {
-			return err
-		}
-		ti3, tf3, err := benchPair(
-			func() error { _, err := engI3.RunTet(ctx, meshI3, optI3); return err },
-			func() error { _, err := engF3.RunTet(ctx, meshF3, optF3); return err },
-		)
+		t3, err := benchOps(func() error { _, err := eng3.RunTet(ctx, mt, opt); return err })
 		if err != nil {
 			return err
 		}
@@ -338,7 +329,7 @@ func runBenchJSON(path, schedule string, verts2, cells3, checkEvery, partitions 
 			CheckEvery: checkEvery, Iterations: warm3.Iterations,
 			QualityTrajectory: warm3.QualityHistory,
 		}
-		rep.Results = append(rep.Results, cell(base3, "iface", ti3), cell(base3, "fast", tf3))
+		rep.Results = append(rep.Results, cell(base3, "", t3[0]))
 		report(os.Stderr, rep.Results[len(rep.Results)-2:])
 	}
 
@@ -412,28 +403,30 @@ func benchPartitions(ctx context.Context, rep *benchReport, m2 *mesh.Mesh, m3 *m
 		return err
 	}
 
-	// Match the main loop's workers=4 cells so single/partitioned timings
-	// are directly comparable to the iface/fast pairs.
-	const workers = 4
-
-	// 2D cell: single engine vs partitioned driver, interleaved reps.
-	optS := smooth.Options{
+	// Match the main loop's workers=NumCPU cells so single/partitioned
+	// timings are directly comparable to them.
+	workers := runtime.NumCPU()
+	opt := smooth.Options{
 		MaxIters: benchIters, Tol: -1, Traversal: smooth.StorageOrder,
 		Workers: workers, Schedule: schedule, CheckEvery: checkEvery,
 	}
-	optP := optS
+	optP := opt
 	optP.Partitions, optP.Partitioner = k, pname
+
+	// 2D cell: single engine vs partitioned driver, each warmed up on the
+	// mesh its reps time, so the partitioned reps reuse the decomposition
+	// the warm-up cached instead of rebuilding it in the first rep.
 	engS, engP := smooth.NewSmoother(), smooth.NewPartitionedSmoother()
 	meshS, meshP := m2.Clone(), m2.Clone()
-	warm, err := engS.Run(ctx, meshS.Clone(), optS)
+	warm, err := engS.Run(ctx, meshS, opt)
 	if err != nil {
 		return err
 	}
-	if _, err := engP.Run(ctx, meshP.Clone(), optP); err != nil {
+	if _, err := engP.Run(ctx, meshP, optP); err != nil {
 		return err
 	}
-	ts, tp, err := benchPair(
-		func() error { _, err := engS.Run(ctx, meshS, optS); return err },
+	t, err := benchOps(
+		func() error { _, err := engS.Run(ctx, meshS, opt); return err },
 		func() error { _, err := engP.Run(ctx, meshP, optP); return err },
 	)
 	if err != nil {
@@ -445,28 +438,22 @@ func benchPartitions(ctx context.Context, rep *benchReport, m2 *mesh.Mesh, m3 *m
 		CheckEvery: checkEvery, Iterations: warm.Iterations,
 		QualityTrajectory: warm.QualityHistory,
 	}
-	rep.Results = append(rep.Results, cell(base, "single", ts), cell(base, "partitioned", tp))
+	rep.Results = append(rep.Results, cell(base, "single", t[0]), cell(base, "partitioned", t[1]))
 	report(os.Stderr, rep.Results[len(rep.Results)-2:])
 
 	// 3D cell.
-	optS3 := smooth.Options{
-		MaxIters: benchIters, Tol: -1, Traversal: smooth.StorageOrder,
-		Workers: workers, Schedule: schedule, CheckEvery: checkEvery,
-	}
-	optP3 := optS3
-	optP3.Partitions, optP3.Partitioner = k, pname
 	engS3, engP3 := smooth.NewSmoother(), smooth.NewPartitionedSmoother()
 	meshS3, meshP3 := m3.Clone(), m3.Clone()
-	warm3, err := engS3.RunTet(ctx, meshS3.Clone(), optS3)
+	warm3, err := engS3.RunTet(ctx, meshS3, opt)
 	if err != nil {
 		return err
 	}
-	if _, err := engP3.RunTet(ctx, meshP3.Clone(), optP3); err != nil {
+	if _, err := engP3.RunTet(ctx, meshP3, optP); err != nil {
 		return err
 	}
-	ts3, tp3, err := benchPair(
-		func() error { _, err := engS3.RunTet(ctx, meshS3, optS3); return err },
-		func() error { _, err := engP3.RunTet(ctx, meshP3, optP3); return err },
+	t3, err := benchOps(
+		func() error { _, err := engS3.RunTet(ctx, meshS3, opt); return err },
+		func() error { _, err := engP3.RunTet(ctx, meshP3, optP); return err },
 	)
 	if err != nil {
 		return err
@@ -477,15 +464,19 @@ func benchPartitions(ctx context.Context, rep *benchReport, m2 *mesh.Mesh, m3 *m
 		CheckEvery: checkEvery, Iterations: warm3.Iterations,
 		QualityTrajectory: warm3.QualityHistory,
 	}
-	rep.Results = append(rep.Results, cell(base3, "single", ts3), cell(base3, "partitioned", tp3))
+	rep.Results = append(rep.Results, cell(base3, "single", t3[0]), cell(base3, "partitioned", t3[1]))
 	report(os.Stderr, rep.Results[len(rep.Results)-2:])
 	return nil
 }
 
-// cell stamps one path's timings onto a copy of the cell's shared fields.
+// cell stamps one op's timings onto a copy of the cell's shared fields; a
+// non-empty path names the partition section's single or partitioned op.
 func cell(base benchResult, path string, t pathTiming) benchResult {
 	base.Path = path
-	base.Name = fmt.Sprintf("RunConverged/dim=%d/path=%s/workers=%d", base.Dim, path, base.Workers)
+	base.Name = fmt.Sprintf("RunConverged/dim=%d/workers=%d", base.Dim, base.Workers)
+	if path != "" {
+		base.Name = fmt.Sprintf("RunConverged/dim=%d/path=%s/workers=%d", base.Dim, path, base.Workers)
+	}
 	t.fill(&base)
 	return base
 }

@@ -14,13 +14,13 @@
 // table3, eq2, fig10, fig11, fig12, fig13, cost, all.
 //
 // With -json, lamsbench skips the experiments and runs the converge-loop
-// benchmark instead (full sweep+measure loops across dimensions, worker
-// counts, and the interface/fast engine paths, plus cold-start setup-phase
-// timings), writing machine-readable results to FILE; see BENCH_smooth.json
-// at the repository root for the committed baseline. Adding -partitions k
-// (k > 1) appends a domain-decomposition section: layout statistics and
-// decomposition cost for both benchmark meshes, plus interleaved timings of
-// the single-engine converge loop against the k-partition multi-engine run.
+// benchmark instead (full sweep+measure loops across dimensions and worker
+// counts 1 and NumCPU, plus cold-start setup-phase timings), writing
+// machine-readable results to FILE; see BENCH_smooth.json at the repository
+// root for the committed baseline. Adding -partitions k (k > 1) appends a
+// domain-decomposition section: layout statistics and decomposition cost for
+// both benchmark meshes, plus interleaved timings of the single-engine
+// converge loop against the k-partition multi-engine run.
 package main
 
 import (

@@ -11,14 +11,15 @@
 // orderings traverse a dimension-agnostic adjacency abstraction
 // (order.Graph/order.Spatial), so the same registry entries reorder
 // triangles and tetrahedra — the dimension-generic smoothing core
-// (internal/smooth: one engine, generic over a dim2/dim3 coordinate
-// abstraction, serves both mesh kinds through Smoother.Run and
-// Smoother.RunTet — one convergence loop, one kernel registry resolving
-// both dimensions' kernels from the same rows, one Jacobi/tracing
-// structure — whose hot state is packed into structure-of-arrays
-// coordinate mirrors feeding monomorphic fast-path loops for the built-in
-// kernels, including the smart kernel's inlined accept test, with a
-// CheckEvery measurement cadence), the quality metrics whose global
+// (internal/smooth: one engine, generic over a dim2/dim3 abstraction,
+// serves both mesh kinds through Smoother.Run and Smoother.RunTet — one
+// convergence loop, one kernel registry resolving both dimensions' kernels
+// from the same rows, one Jacobi chunk body and one in-place sweep per
+// dimension over the mesh's own coordinate array, which call the 2D
+// default kernel and the default metrics through their concrete types and
+// everything else through the interfaces, with a CheckEvery measurement
+// cadence), the
+// quality metrics whose global
 // measurement runs one generic two-stage element pass chunk-parallel
 // through a fixed-block ordered reduction — bit-identical to the serial
 // pass at every worker count and schedule (internal/quality,
@@ -34,7 +35,6 @@
 // cold-start setup scales with the sweeps), and the locality-analysis
 // machinery
 // (internal/trace, internal/reuse, internal/cache, internal/perfmodel).
-// internal/core is the thin facade pkg/lams delegates to;
 // internal/experiments regenerates every table and figure of the paper's
 // evaluation.
 //

@@ -27,13 +27,21 @@ func genQualTetMesh(t testing.TB, cells int) *mesh.TetMesh {
 	return m
 }
 
+// ifaceMetric and ifaceTetMetric hide a metric's concrete type, so the
+// passes that call the default metrics directly take their interface case
+// instead.
+type ifaceMetric struct{ Metric }
+
+type ifaceTetMetric struct{ TetMetric }
+
 // TestGlobalParallelEquivalence is the measurement-side determinism
 // harness: for every built-in metric, every registered schedule, and
 // workers 1–16, the parallel global quality and per-vertex qualities must
 // be bit-identical to the serial Scratch pass, to the package-level
-// functions, and to the boxed (interface-dispatch) pass. The mesh spans
-// several ReduceBlock tiles, so the ordered reduction's block combination
-// is actually exercised.
+// functions, to the interface-dispatch pass, and (per vertex) to
+// VertexQuality through either dispatch. The mesh spans several
+// ReduceBlock tiles, so the ordered reduction's block combination is
+// actually exercised.
 func TestGlobalParallelEquivalence(t *testing.T) {
 	m := genQualMesh(t, 6000)
 	ctx := context.Background()
@@ -44,9 +52,15 @@ func TestGlobalParallelEquivalence(t *testing.T) {
 		if pkgG := Global(m, met); pkgG != wantG {
 			t.Fatalf("%s: package Global = %v, Scratch.Global = %v (want bit-identical)", met.Name(), pkgG, wantG)
 		}
-		var boxed Scratch
-		if bg := boxed.Global(m, BoxMetric(met)); bg != wantG {
-			t.Fatalf("%s: boxed (interface-path) Global = %v, want bit-identical %v", met.Name(), bg, wantG)
+		var iface Scratch
+		if ig := iface.Global(m, ifaceMetric{met}); ig != wantG {
+			t.Fatalf("%s: interface-dispatch Global = %v, want bit-identical %v", met.Name(), ig, wantG)
+		}
+		for v := range wantV {
+			q, iq := VertexQuality(m, met, int32(v)), VertexQuality(m, ifaceMetric{met}, int32(v))
+			if q != wantV[v] || iq != wantV[v] {
+				t.Fatalf("%s: VertexQuality(%d) = %v (interface %v), want bit-identical %v", met.Name(), v, q, iq, wantV[v])
+			}
 		}
 		for _, schedule := range parallel.Schedules() {
 			for _, workers := range []int{1, 2, 4, 8, 16} {
@@ -90,9 +104,15 @@ func TestTetGlobalParallelEquivalence(t *testing.T) {
 		if pkgG := TetGlobal(m, met); pkgG != wantG {
 			t.Fatalf("%s: package TetGlobal = %v, Scratch.TetGlobal = %v (want bit-identical)", met.Name(), pkgG, wantG)
 		}
-		var boxed Scratch
-		if bg := boxed.TetGlobal(m, BoxTetMetric(met)); bg != wantG {
-			t.Fatalf("%s: boxed (interface-path) TetGlobal = %v, want bit-identical %v", met.Name(), bg, wantG)
+		var iface Scratch
+		if ig := iface.TetGlobal(m, ifaceTetMetric{met}); ig != wantG {
+			t.Fatalf("%s: interface-dispatch TetGlobal = %v, want bit-identical %v", met.Name(), ig, wantG)
+		}
+		for v := range wantV {
+			q, iq := TetVertexQuality(m, met, int32(v)), TetVertexQuality(m, ifaceTetMetric{met}, int32(v))
+			if q != wantV[v] || iq != wantV[v] {
+				t.Fatalf("%s: TetVertexQuality(%d) = %v (interface %v), want bit-identical %v", met.Name(), v, q, iq, wantV[v])
+			}
 		}
 		for _, schedule := range parallel.Schedules() {
 			for _, workers := range []int{1, 2, 4, 8, 16} {

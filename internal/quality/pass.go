@@ -7,12 +7,11 @@ import (
 )
 
 // One dimension-generic element-range pass: every global / per-vertex
-// quality evaluation — triangles or tetrahedra, interface dispatch or the
-// SoA fast path — is the same two-stage pipeline: a per-element metric fill
-// into s.tri, then a CSR vertex-average pass into s.vert folded by the
-// ordered blocked reduction. The dimension-specific pieces are only the
-// devirtualized element-range bodies (triRange/triRangeSoA in quality.go,
-// tetRange/tetRangeSoA in tet.go); the orchestration lives here once, so
+// quality evaluation — triangles or tetrahedra — is the same two-stage
+// pipeline: a per-element metric fill into s.tri, then a CSR vertex-average
+// pass into s.vert folded by the ordered blocked reduction. The
+// dimension-specific pieces are only the element-range bodies (triRange in
+// quality.go, tetRange in tet.go); the orchestration lives here once, so
 // the 2D and 3D entry points cannot drift apart.
 
 // passKind selects the staged pass's element-range body.
@@ -21,9 +20,7 @@ type passKind uint8
 const (
 	passNone passKind = iota
 	passTri
-	passTriSoA
 	passTet
-	passTetSoA
 )
 
 // endPass clears the staged descriptor so a parked Scratch does not pin the
@@ -32,23 +29,17 @@ func (s *Scratch) endPass() {
 	s.pkind = passNone
 	s.pm, s.pmet = nil, nil
 	s.ptm, s.ptmt = nil, nil
-	s.px, s.py, s.pz = nil, nil, nil
 	s.pstart, s.plist = nil, nil
 }
 
 // elemRange dispatches elements [lo, hi) to the staged pass's range body.
-// The dispatch happens once per chunk, not per element, so the devirtualized
-// inner loops run unperturbed.
+// The dispatch happens once per chunk, not per element.
 func (s *Scratch) elemRange(lo, hi int) {
 	switch s.pkind {
 	case passTri:
 		s.triRange(s.pm, s.pmet, lo, hi)
-	case passTriSoA:
-		s.triRangeSoA(s.pm, s.px, s.py, lo, hi)
 	case passTet:
 		s.tetRange(s.ptm, s.ptmt, lo, hi)
-	case passTetSoA:
-		s.tetRangeSoA(s.ptm, s.px, s.py, s.pz, lo, hi)
 	}
 }
 

@@ -117,16 +117,25 @@ func VertexQualities(m *mesh.Mesh, met Metric) []float64 {
 }
 
 // VertexQuality recomputes the quality of a single vertex from the current
-// coordinates (used by incremental updates during smoothing).
+// coordinates (used by incremental updates during smoothing, notably the
+// smart kernel's accept test). The default metric is called through its
+// concrete type, everything else through the interface; see triRange.
 func VertexQuality(m *mesh.Mesh, met Metric, v int32) float64 {
 	ts := m.VertTris(v)
 	if len(ts) == 0 {
 		return 0
 	}
 	var s float64
-	for _, t := range ts {
-		tv := m.Tris[t]
-		s += met.Triangle(m.Coords[tv[0]], m.Coords[tv[1]], m.Coords[tv[2]])
+	if _, ok := met.(EdgeRatio); ok {
+		for _, t := range ts {
+			tv := m.Tris[t]
+			s += EdgeRatio{}.Triangle(m.Coords[tv[0]], m.Coords[tv[1]], m.Coords[tv[2]])
+		}
+	} else {
+		for _, t := range ts {
+			tv := m.Tris[t]
+			s += met.Triangle(m.Coords[tv[0]], m.Coords[tv[1]], m.Coords[tv[2]])
+		}
 	}
 	return s / float64(len(ts))
 }
@@ -142,17 +151,6 @@ func Global(m *mesh.Mesh, met Metric) float64 {
 	}
 	return parallel.SumBlocked(vq) / float64(len(vq))
 }
-
-// boxedMetric hides a metric's concrete type behind one more indirection so
-// the devirtualized fast paths do not recognize it and the generic
-// interface-dispatch loops run instead.
-type boxedMetric struct{ Metric }
-
-// BoxMetric wraps met so every quality pass takes the interface-dispatch
-// path even for the built-in metrics. It exists for the fast-path
-// equivalence tests and the before/after benchmarks (smooth's NoFastPath
-// ablation); results are bit-identical to the unboxed metric.
-func BoxMetric(met Metric) Metric { return boxedMetric{met} }
 
 // Scratch holds reusable buffers for repeated quality evaluations, so a
 // convergence loop that re-measures global quality every iteration does not
@@ -174,10 +172,6 @@ type Scratch struct {
 	ptm   *mesh.TetMesh
 	ptmt  TetMetric
 
-	// SoA coordinate views of the staged pass (the smoothing engines'
-	// structure-of-arrays mirrors); px/py in 2D, plus pz in 3D.
-	px, py, pz []float64
-
 	// CSR vertex-to-element incidence of the staged pass (TriStart/TriList
 	// or TetStart/TetList).
 	pstart, plist []int32
@@ -188,57 +182,20 @@ type Scratch struct {
 	avgBody  func(worker, block int, span parallel.Chunk) float64
 }
 
-// triRange fills s.tri for triangles [lo, hi). The built-in default metric
-// is devirtualized: EdgeRatio.Triangle's body is replayed inline —
-// operation for operation, so the values stay bit-identical — instead of
-// dispatching through the interface per triangle (Triangle itself is past
-// the inliner's budget, so even a concrete call would pay a frame per
-// element).
+// triRange fills s.tri for triangles [lo, hi). The type switch runs once
+// per range: the default metric is called through its concrete type, which
+// the compiler calls directly instead of through the interface's method
+// table; every other metric takes the interface case.
 func (s *Scratch) triRange(m *mesh.Mesh, met Metric, lo, hi int) {
 	coords, tri := m.Coords, s.tri
 	if _, ok := met.(EdgeRatio); ok {
 		for i, tv := range m.Tris[lo:hi] {
-			a, b, c := coords[tv[0]], coords[tv[1]], coords[tv[2]]
-			e0 := a.Dist(b)
-			e1 := b.Dist(c)
-			e2 := c.Dist(a)
-			elo := math.Min(e0, math.Min(e1, e2))
-			ehi := math.Max(e0, math.Max(e1, e2))
-			q := 0.0
-			if ehi != 0 {
-				q = elo / ehi
-			}
-			tri[lo+i] = q
+			tri[lo+i] = EdgeRatio{}.Triangle(coords[tv[0]], coords[tv[1]], coords[tv[2]])
 		}
 		return
 	}
 	for i, tv := range m.Tris[lo:hi] {
 		tri[lo+i] = met.Triangle(coords[tv[0]], coords[tv[1]], coords[tv[2]])
-	}
-}
-
-// triRangeSoA is triRange over the structure-of-arrays coordinate mirrors
-// the smoothing engines keep (x[i], y[i] is vertex i): the metric is the
-// devirtualized EdgeRatio body, replayed operation for operation on points
-// assembled from the raw slices, so the values are bit-identical to triRange
-// over an equal m.Coords. SoA callers opt in per metric — this pass exists
-// only for the metric the 2D fast path devirtualizes.
-func (s *Scratch) triRangeSoA(m *mesh.Mesh, x, y []float64, lo, hi int) {
-	tri := s.tri
-	for i, tv := range m.Tris[lo:hi] {
-		a := geom.Point{X: x[tv[0]], Y: y[tv[0]]}
-		b := geom.Point{X: x[tv[1]], Y: y[tv[1]]}
-		c := geom.Point{X: x[tv[2]], Y: y[tv[2]]}
-		e0 := a.Dist(b)
-		e1 := b.Dist(c)
-		e2 := c.Dist(a)
-		elo := math.Min(e0, math.Min(e1, e2))
-		ehi := math.Max(e0, math.Max(e1, e2))
-		q := 0.0
-		if ehi != 0 {
-			q = elo / ehi
-		}
-		tri[lo+i] = q
 	}
 }
 
@@ -249,44 +206,6 @@ func (s *Scratch) globalSum(ctx context.Context, m *mesh.Mesh, met Metric, worke
 	s.pkind, s.pm, s.pmet = passTri, m, met
 	s.pstart, s.plist = m.TriStart, m.TriList
 	return s.passSum(ctx, m.NumTris(), m.NumVerts(), workers, sched)
-}
-
-// globalSumSoA is globalSum over the SoA coordinate mirrors with the
-// EdgeRatio metric: the triangle stage is triRangeSoA, the vertex-average
-// stage and the blocked reduction are the same code as the interface path
-// (they read only s.tri and the CSR incidence), so the sum is bit-identical
-// to globalSum over an equal m.Coords.
-func (s *Scratch) globalSumSoA(ctx context.Context, m *mesh.Mesh, x, y []float64, workers int, sched parallel.Scheduler) (float64, error) {
-	s.pkind, s.pm, s.px, s.py = passTriSoA, m, x, y
-	s.pstart, s.plist = m.TriStart, m.TriList
-	return s.passSum(ctx, m.NumTris(), m.NumVerts(), workers, sched)
-}
-
-// GlobalParallelSoA is GlobalParallel with the EdgeRatio metric evaluated
-// over the engines' SoA coordinate mirrors (x[i], y[i] is vertex i) instead
-// of m.Coords — m's connectivity is used, its coordinates are ignored. The
-// value is bit-identical to GlobalParallel with quality.EdgeRatio over an
-// equal m.Coords, at every worker count and schedule.
-func (s *Scratch) GlobalParallelSoA(ctx context.Context, m *mesh.Mesh, x, y []float64, workers int, sched parallel.Scheduler) (float64, error) {
-	sum, err := s.globalSumSoA(ctx, m, x, y, workers, sched)
-	if err != nil {
-		return 0, err
-	}
-	nv := m.NumVerts()
-	if nv == 0 {
-		return 0, nil
-	}
-	return sum / float64(nv), nil
-}
-
-// VertexQualitiesParallelSoA is VertexQualitiesParallel with the EdgeRatio
-// metric over the SoA coordinate mirrors; see GlobalParallelSoA. The slice
-// is valid until the next call on s.
-func (s *Scratch) VertexQualitiesParallelSoA(ctx context.Context, m *mesh.Mesh, x, y []float64, workers int, sched parallel.Scheduler) ([]float64, error) {
-	if _, err := s.globalSumSoA(ctx, m, x, y, workers, sched); err != nil {
-		return nil, err
-	}
-	return s.vert, nil
 }
 
 // TriangleQualities is like the package-level TriangleQualities but writes

@@ -104,16 +104,26 @@ func TetVertexQualities(m *mesh.TetMesh, met TetMetric) []float64 {
 }
 
 // TetVertexQuality recomputes the quality of a single vertex from the
-// current coordinates (used by incremental updates during smoothing).
+// current coordinates (used by incremental updates during smoothing,
+// notably the smart kernel's accept test). The default metric is called
+// through its concrete type, everything else through the interface; see
+// tetRange.
 func TetVertexQuality(m *mesh.TetMesh, met TetMetric, v int32) float64 {
 	ts := m.VertTets(v)
 	if len(ts) == 0 {
 		return 0
 	}
 	var s float64
-	for _, t := range ts {
-		tv := m.Tets[t]
-		s += met.Tet(m.Coords[tv[0]], m.Coords[tv[1]], m.Coords[tv[2]], m.Coords[tv[3]])
+	if _, ok := met.(MeanRatio3); ok {
+		for _, t := range ts {
+			tv := m.Tets[t]
+			s += MeanRatio3{}.Tet(m.Coords[tv[0]], m.Coords[tv[1]], m.Coords[tv[2]], m.Coords[tv[3]])
+		}
+	} else {
+		for _, t := range ts {
+			tv := m.Tets[t]
+			s += met.Tet(m.Coords[tv[0]], m.Coords[tv[1]], m.Coords[tv[2]], m.Coords[tv[3]])
+		}
 	}
 	return s / float64(len(ts))
 }
@@ -131,65 +141,18 @@ func TetGlobal(m *mesh.TetMesh, met TetMetric) float64 {
 	return parallel.SumBlocked(vq) / float64(len(vq))
 }
 
-// boxedTetMetric is the 3D twin of boxedMetric.
-type boxedTetMetric struct{ TetMetric }
-
-// BoxTetMetric wraps met so every quality pass takes the interface-dispatch
-// path even for the built-in tet metrics; see BoxMetric.
-func BoxTetMetric(met TetMetric) TetMetric { return boxedTetMetric{met} }
-
-// tetRange fills s.tri for tetrahedra [lo, hi), devirtualizing the built-in
-// metrics: MeanRatio3.Tet's body is replayed inline — operation for
-// operation, so the values stay bit-identical — and EdgeRatio3 gets a
-// concrete direct call (its Tet is array-bound and benefits less from
-// manual inlining); everything else dispatches through the interface.
+// tetRange fills s.tri for tetrahedra [lo, hi): the 3D twin of triRange,
+// calling the default metric (MeanRatio3) through its concrete type.
 func (s *Scratch) tetRange(m *mesh.TetMesh, met TetMetric, lo, hi int) {
 	coords, tri := m.Coords, s.tri
-	switch met.(type) {
-	case MeanRatio3:
+	if _, ok := met.(MeanRatio3); ok {
 		for i, tv := range m.Tets[lo:hi] {
-			a, b, c, d := coords[tv[0]], coords[tv[1]], coords[tv[2]], coords[tv[3]]
-			q := 0.0
-			if vol6 := geom.Orient3DValue(a, b, c, d); vol6 > 0 {
-				s := a.Dist2(b) + a.Dist2(c) + a.Dist2(d) + b.Dist2(c) + b.Dist2(d) + c.Dist2(d)
-				if s != 0 {
-					// vol6 is 6V, so 3V = vol6/2 (matching MeanRatio3.Tet).
-					q = 12 * math.Cbrt((vol6/2)*(vol6/2)) / s
-				}
-			}
-			tri[lo+i] = q
+			tri[lo+i] = MeanRatio3{}.Tet(coords[tv[0]], coords[tv[1]], coords[tv[2]], coords[tv[3]])
 		}
-	case EdgeRatio3:
-		for i, tv := range m.Tets[lo:hi] {
-			tri[lo+i] = EdgeRatio3{}.Tet(coords[tv[0]], coords[tv[1]], coords[tv[2]], coords[tv[3]])
-		}
-	default:
-		for i, tv := range m.Tets[lo:hi] {
-			tri[lo+i] = met.Tet(coords[tv[0]], coords[tv[1]], coords[tv[2]], coords[tv[3]])
-		}
+		return
 	}
-}
-
-// tetRangeSoA is tetRange over the structure-of-arrays coordinate mirrors
-// with the devirtualized MeanRatio3 body replayed on points assembled from
-// the raw slices — bit-identical to tetRange over an equal m.Coords; the 3D
-// twin of triRangeSoA.
-func (s *Scratch) tetRangeSoA(m *mesh.TetMesh, x, y, z []float64, lo, hi int) {
-	tri := s.tri
 	for i, tv := range m.Tets[lo:hi] {
-		a := geom.Point3{X: x[tv[0]], Y: y[tv[0]], Z: z[tv[0]]}
-		b := geom.Point3{X: x[tv[1]], Y: y[tv[1]], Z: z[tv[1]]}
-		c := geom.Point3{X: x[tv[2]], Y: y[tv[2]], Z: z[tv[2]]}
-		d := geom.Point3{X: x[tv[3]], Y: y[tv[3]], Z: z[tv[3]]}
-		q := 0.0
-		if vol6 := geom.Orient3DValue(a, b, c, d); vol6 > 0 {
-			s := a.Dist2(b) + a.Dist2(c) + a.Dist2(d) + b.Dist2(c) + b.Dist2(d) + c.Dist2(d)
-			if s != 0 {
-				// vol6 is 6V, so 3V = vol6/2 (matching MeanRatio3.Tet).
-				q = 12 * math.Cbrt((vol6/2)*(vol6/2)) / s
-			}
-		}
-		tri[lo+i] = q
+		tri[lo+i] = met.Tet(coords[tv[0]], coords[tv[1]], coords[tv[2]], coords[tv[3]])
 	}
 }
 
@@ -199,42 +162,6 @@ func (s *Scratch) globalSum3(ctx context.Context, m *mesh.TetMesh, met TetMetric
 	s.pkind, s.ptm, s.ptmt = passTet, m, met
 	s.pstart, s.plist = m.TetStart, m.TetList
 	return s.passSum(ctx, m.NumTets(), m.NumVerts(), workers, sched)
-}
-
-// globalSumSoA3 is the 3D twin of globalSumSoA: the tet stage is tetRangeSoA
-// (MeanRatio3), the vertex-average and reduction are the shared code, so the
-// sum is bit-identical to globalSum3 over an equal m.Coords.
-func (s *Scratch) globalSumSoA3(ctx context.Context, m *mesh.TetMesh, x, y, z []float64, workers int, sched parallel.Scheduler) (float64, error) {
-	s.pkind, s.ptm, s.px, s.py, s.pz = passTetSoA, m, x, y, z
-	s.pstart, s.plist = m.TetStart, m.TetList
-	return s.passSum(ctx, m.NumTets(), m.NumVerts(), workers, sched)
-}
-
-// TetGlobalParallelSoA is TetGlobalParallel with the MeanRatio3 metric
-// evaluated over the engines' SoA coordinate mirrors (x[i], y[i], z[i] is
-// vertex i) instead of m.Coords — m's connectivity is used, its coordinates
-// are ignored. Bit-identical to TetGlobalParallel with quality.MeanRatio3
-// over an equal m.Coords, at every worker count and schedule.
-func (s *Scratch) TetGlobalParallelSoA(ctx context.Context, m *mesh.TetMesh, x, y, z []float64, workers int, sched parallel.Scheduler) (float64, error) {
-	sum, err := s.globalSumSoA3(ctx, m, x, y, z, workers, sched)
-	if err != nil {
-		return 0, err
-	}
-	nv := m.NumVerts()
-	if nv == 0 {
-		return 0, nil
-	}
-	return sum / float64(nv), nil
-}
-
-// TetVertexQualitiesParallelSoA is TetVertexQualitiesParallel with the
-// MeanRatio3 metric over the SoA coordinate mirrors; see
-// TetGlobalParallelSoA. The slice is valid until the next call on s.
-func (s *Scratch) TetVertexQualitiesParallelSoA(ctx context.Context, m *mesh.TetMesh, x, y, z []float64, workers int, sched parallel.Scheduler) ([]float64, error) {
-	if _, err := s.globalSumSoA3(ctx, m, x, y, z, workers, sched); err != nil {
-		return nil, err
-	}
-	return s.vert, nil
 }
 
 // TetQualities is like the package-level TetQualities but writes into the

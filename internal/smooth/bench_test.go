@@ -178,65 +178,48 @@ const convergedBenchVerts = 262144
 
 // BenchmarkRunConverged measures the FULL convergence loop — sweep plus
 // global quality measurement per iteration, the whole of Algorithm 1 — not
-// just one sweep, across worker counts and both engine paths: the generic
-// interface-dispatch path with the serial measurement pass (iface, the
-// pre-fast-path baseline), and the monomorphic kernel/metric loops with the
-// parallel ordered quality reduction (fast). The iface/fast gap at high
-// worker counts is the Amdahl bottleneck the measurement parallelization
-// removes; results are bit-identical between all cells by construction.
+// just one sweep, across worker counts. Both halves run on the workers:
+// the Jacobi chunks and the parallel ordered quality reduction. Results are
+// bit-identical between all cells by construction.
 func BenchmarkRunConverged(b *testing.B) {
 	base, err := mesh.Generate("carabiner", convergedBenchVerts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, path := range []struct {
-		name   string
-		noFast bool
-	}{{"iface", true}, {"fast", false}} {
-		for _, workers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("path=%s/workers=%d", path.name, workers), func(b *testing.B) {
-				m := base.Clone()
-				s := NewSmoother()
-				opt := Options{
-					MaxIters: 10, Tol: -1, Traversal: StorageOrder,
-					Workers: workers, NoFastPath: path.noFast,
-				}
+	for _, workers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			m := base.Clone()
+			s := NewSmoother()
+			opt := Options{MaxIters: 10, Tol: -1, Traversal: StorageOrder, Workers: workers}
+			if _, err := s.Run(ctx, m, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := s.Run(ctx, m, opt); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(ctx, m, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkRunSmart measures the smart-kernel convergence loop on both
-// engine paths: iface is the generic in-place sweep (an interface dispatch
-// into SmartKernel.Update, which itself dispatches the metric per incident
-// triangle) with the serial measurement pass; fast is the monomorphic SoA
-// accept-test sweep with the parallel reduction. The sweep is serial either
-// way (in-place semantics), so the gap is pure devirtualization plus the
-// measurement parallelism.
+// BenchmarkRunSmart measures the smart-kernel convergence loop: the serial
+// in-place sweep, whose accept test evaluates the default metric on every
+// incident triangle twice per vertex visit, plus the quality measurements,
+// which parallelize across the workers.
 func BenchmarkRunSmart(b *testing.B) {
 	base := benchMesh(b)
 	ctx := context.Background()
-	for _, path := range []struct {
-		name   string
-		noFast bool
-	}{{"iface", true}, {"fast", false}} {
-		b.Run(fmt.Sprintf("path=%s", path.name), func(b *testing.B) {
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			m := base.Clone()
 			s := NewSmoother()
 			opt := Options{
 				MaxIters: 4, Tol: -1, Traversal: StorageOrder,
-				Kernel: SmartKernel{}, NoFastPath: path.noFast,
+				Kernel: SmartKernel{}, Workers: workers,
 			}
 			if _, err := s.Run(ctx, m, opt); err != nil {
 				b.Fatal(err)

@@ -53,8 +53,12 @@ type Checkpoint struct {
 }
 
 // validateResume rejects a checkpoint that cannot continue the resuming
-// run: a different configuration fingerprint, dimension, or mesh size.
-func (cp *Checkpoint) validateResume(fp string, dim, nverts int) error {
+// run: a different configuration fingerprint, dimension, or mesh size, or a
+// visit order that is not a permutation of the mesh's interior vertices.
+// boundary flags every vertex of the mesh; interior counts the unflagged
+// ones.
+func (cp *Checkpoint) validateResume(fp string, dim int, boundary []bool, interior int) error {
+	nverts := len(boundary)
 	if cp.Config != fp {
 		return fmt.Errorf("smooth: resume checkpoint was captured under a different configuration:\n  checkpoint: %s\n  run:        %s", cp.Config, fp)
 	}
@@ -70,13 +74,35 @@ func (cp *Checkpoint) validateResume(fp string, dim, nverts int) error {
 	if len(cp.QualityHistory) > cp.Iteration {
 		return fmt.Errorf("smooth: resume checkpoint has %d measurements for %d sweeps", len(cp.QualityHistory), cp.Iteration)
 	}
+	if len(cp.Visit) == 0 {
+		return nil
+	}
+	// A resumed in-place run replays Visit verbatim, so an entry out of
+	// range would index past the coordinates, a boundary entry would move
+	// a pinned vertex, and a duplicate would update one vertex twice per
+	// sweep (and, by the count, skip another).
+	if len(cp.Visit) != interior {
+		return fmt.Errorf("smooth: resume checkpoint visits %d vertices, mesh has %d interior", len(cp.Visit), interior)
+	}
+	seen := make([]bool, nverts)
+	for i, v := range cp.Visit {
+		switch {
+		case v < 0 || int(v) >= nverts:
+			return fmt.Errorf("smooth: resume checkpoint visit[%d] = %d is out of range [0, %d)", i, v, nverts)
+		case boundary[v]:
+			return fmt.Errorf("smooth: resume checkpoint visit[%d] = %d is a boundary vertex", i, v)
+		case seen[v]:
+			return fmt.Errorf("smooth: resume checkpoint visit[%d] = %d repeats a vertex", i, v)
+		}
+		seen[v] = true
+	}
 	return nil
 }
 
 // configFingerprint renders the trajectory-affecting half of the resolved
-// options. Workers, schedule, partitions, tracing, and the fast-path
-// ablation are excluded on purpose: the engine guarantees bit-identical
-// results across all of them, so a checkpoint may resume under any.
+// options. Workers, schedule, partitions, and tracing are excluded on
+// purpose: the engine guarantees bit-identical results across all of them,
+// so a checkpoint may resume under any.
 func configFingerprint[D any, PD dimOps[D]](d PD, opt *Options) string {
 	return fmt.Sprintf("v1 dim=%d verts=%d %s tol=%g goal=%g maxiters=%d checkevery=%d traversal=%s gs=%t",
 		d.axes(), d.numVerts(), d.configDetail(),
@@ -86,7 +112,7 @@ func configFingerprint[D any, PD dimOps[D]](d PD, opt *Options) string {
 // makeCheckpoint snapshots the run at its current state; every slice is a
 // fresh copy, so the callback may hand the value to another goroutine or
 // serialize it after the run moves on.
-func makeCheckpoint[D any, PD dimOps[D]](d PD, fp string, res *Result, visit []int32, soa bool) Checkpoint {
+func makeCheckpoint[D any, PD dimOps[D]](d PD, fp string, res *Result, visit []int32) Checkpoint {
 	cp := Checkpoint{
 		Config:         fp,
 		Dim:            d.axes(),
@@ -94,7 +120,7 @@ func makeCheckpoint[D any, PD dimOps[D]](d PD, fp string, res *Result, visit []i
 		Accesses:       res.Accesses,
 		InitialQuality: res.InitialQuality,
 		QualityHistory: append([]float64(nil), res.QualityHistory...),
-		Coords:         d.snapshotCoords(soa),
+		Coords:         d.snapshotCoords(),
 	}
 	if len(visit) > 0 {
 		cp.Visit = append([]int32(nil), visit...)

@@ -57,7 +57,7 @@ func ckptRun(t *testing.T, c ckptConfig, resume *Checkpoint, capture func(Checkp
 	}
 	if c.dim == 2 {
 		m := genMesh(t, 500)
-		opt.Kernel = goldenKernel2(t, c.kernel)
+		opt.Kernel = goldenKernel2(t, c.kernel, nil)
 		res, err := Run(m, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func ckptRun(t *testing.T, c ckptConfig, resume *Checkpoint, capture func(Checkp
 		return res, coords
 	}
 	m := genTetMesh(t, 4)
-	opt.TetKernel = goldenKernel3(t, c.kernel)
+	opt.TetKernel = goldenKernel3(t, c.kernel, nil)
 	res, err := RunTet(m, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +280,64 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	// The partitioned driver enforces the same fingerprint.
 	if _, err := Run(m, Options{MaxIters: 4, Tol: -1, Partitions: 3, Resume: &cp}); err == nil {
 		t.Error("partitioned resume under a different MaxIters was accepted")
+	}
+}
+
+// TestResumeRejectsCorruptVisit: a resumed run replays the checkpoint's
+// Visit verbatim, so a Visit that is not a permutation of the mesh's
+// interior vertices must be rejected before the run touches the mesh — an
+// out-of-range vertex (which would index past the coordinates, inside a
+// worker goroutine on a parallel run), a boundary vertex (which would move),
+// or a repeated vertex. The partitioned driver ignores Visit but applies the
+// same check.
+func TestResumeRejectsCorruptVisit(t *testing.T) {
+	probe := genMesh(t, 500)
+	boundary := int32(-1)
+	for v, b := range probe.IsBoundary {
+		if b {
+			boundary = int32(v)
+			break
+		}
+	}
+	defects := []struct {
+		name    string
+		corrupt func(visit []int32)
+	}{
+		{"out-of-range", func(vs []int32) { vs[len(vs)/2] = int32(probe.NumVerts()) + 4 }},
+		{"boundary", func(vs []int32) { vs[len(vs)/2] = boundary }},
+		{"duplicate", func(vs []int32) { vs[len(vs)/2] = vs[0] }},
+	}
+	for _, c := range []ckptConfig{
+		{dim: 2, kernel: "smart", schedule: "static", workers: 1, partitions: 1, checkEvery: 1, maxIters: 3, tol: -1},
+		{dim: 2, kernel: "plain", schedule: "stealing", workers: 4, partitions: 1, checkEvery: 1, maxIters: 3, tol: -1},
+		{dim: 2, kernel: "plain", schedule: "static", workers: 2, partitions: 3, checkEvery: 1, maxIters: 3, tol: -1},
+	} {
+		// Capture on the single engine, which records its visit order.
+		capture := c
+		capture.partitions = 1
+		var cps []Checkpoint
+		ckptRun(t, capture, nil, func(cp Checkpoint) { cps = append(cps, cp) })
+		if len(cps) == 0 || len(cps[0].Visit) == 0 {
+			t.Fatalf("%s: no checkpoint with a visit order captured", c.name())
+		}
+		for _, d := range defects {
+			t.Run(c.name()+"/"+d.name, func(t *testing.T) {
+				bad := cps[0]
+				bad.Visit = append([]int32(nil), bad.Visit...)
+				d.corrupt(bad.Visit)
+				m := genMesh(t, 500)
+				before := m.Clone()
+				_, err := Run(m, Options{
+					MaxIters: c.maxIters, Tol: c.tol, CheckEvery: c.checkEvery,
+					Workers: c.workers, Schedule: c.schedule, Partitions: c.partitions,
+					Kernel: goldenKernel2(t, c.kernel, nil), Resume: &bad,
+				})
+				if err == nil {
+					t.Fatal("resume with a corrupt visit order was accepted")
+				}
+				coordsEqual(t, "mesh after the rejected resume", m, before)
+			})
+		}
 	}
 }
 

@@ -14,18 +14,21 @@ import (
 )
 
 // This file is the Dim abstraction: everything about a smoothing run that
-// actually depends on the spatial dimension — the mesh type, the per-axis
-// coordinate mirrors, point pack/unpack, metric and kernel resolution, and
-// the per-vertex sweep loop bodies — concentrated in two small value types,
+// actually depends on the spatial dimension — the mesh type, metric and
+// kernel resolution, coordinate snapshots and halo payloads, and the
+// per-vertex sweep loop bodies — concentrated in two small value types,
 // dim2 and dim3. The generic engine (engine.go) and partitioned driver
 // (partitioned.go) are written once against the dimOps constraint and
 // instantiated at both.
 //
-// The performance contract: every per-vertex loop lives INSIDE a dim
-// method, whose body is ordinary monomorphic code on a concrete receiver
-// (*dim2 or *dim3) — the compiler stencils one copy per instantiation, so
-// no interface or dictionary call enters a hot loop. The engine calls dim
-// methods only at per-run and per-sweep granularity.
+// The mesh's Coords array is the only coordinate state: sweeps read it and
+// write it (in place, or through the Jacobi next buffer), and every other
+// layer reads it directly. Every per-vertex loop lives inside a dim method
+// on a concrete receiver (*dim2 or *dim3), so no dictionary call enters a
+// hot loop; the engine calls dim methods only at per-run and per-sweep
+// granularity. Within a loop, the kernel is called through its concrete
+// type where a type switch (once per chunk) finds the default kernel, and
+// through the interface otherwise; see jacobiBody.
 
 // dimOps is the compile-time plug a dimension provides to the generic
 // engine. D is the dimension's state struct (dim2 or dim3); the constraint
@@ -42,17 +45,6 @@ type dimOps[D any] interface {
 	prepare(opt *Options) (inPlace bool, err error)
 	// kernelName names the resolved kernel for error messages.
 	kernelName() string
-	// boxMetric wraps the resolved metric so quality passes go through
-	// interface dispatch (the NoFastPath ablation).
-	boxMetric()
-	// soaEligible reports whether the run can operate on the SoA
-	// coordinate mirrors: an untraced, un-ablated run of a built-in kernel
-	// whose whole sweep has a monomorphic SoA loop in fastpath.go.
-	soaEligible(opt *Options) bool
-	// jacobiSoA reports whether the resolved kernel has a monomorphic SoA
-	// Jacobi loop (the partitioned drivers' eligibility test, with the
-	// in-place cases already rejected).
-	jacobiSoA() bool
 	// release drops the per-run references (mesh, kernel, metric) so a
 	// pooled engine does not pin them between runs; scratch stays.
 	release()
@@ -69,35 +61,25 @@ type dimOps[D any] interface {
 	vertexQualities(ctx context.Context, qs *quality.Scratch, workers int, sched parallel.Scheduler) ([]float64, error)
 
 	// snapshotCoords returns a fresh axis-interleaved copy of the current
-	// coordinates — read from the SoA mirrors when they are authoritative
-	// — and restoreCoords writes such a snapshot back into the mesh.
-	// Plain float64 copies in both directions, so checkpoint/resume
+	// coordinates, and restoreCoords writes such a snapshot back into the
+	// mesh. Plain float64 copies in both directions, so checkpoint/resume
 	// preserves every bit pattern.
-	snapshotCoords(soa bool) []float64
+	snapshotCoords() []float64
 	restoreCoords(src []float64)
 	// configDetail renders the resolved kernel and metric for the
 	// checkpoint fingerprint.
 	configDetail() string
 
-	// pack fills the SoA mirrors from the mesh coordinates (sizing the
-	// Jacobi next-mirrors when requested); commit writes them back. Plain
-	// float64 copies, so every bit pattern survives the round trip.
-	pack(jacobi bool)
-	commit()
-	// ensureNext sizes the AoS Jacobi next-buffer for the current mesh.
+	// ensureNext sizes the Jacobi next buffer for the current mesh.
 	ensureNext()
-	// measure returns the global quality of the current coordinates,
-	// bit-identical between the SoA and AoS paths.
-	measure(ctx context.Context, qs *quality.Scratch, soa bool, workers int, sched parallel.Scheduler) (float64, error)
+	// measure returns the global quality of the current coordinates.
+	measure(ctx context.Context, qs *quality.Scratch, workers int, sched parallel.Scheduler) (float64, error)
 
-	// The sweep bodies. In-place sweeps are whole-visit serial loops;
-	// Jacobi sweeps are chunk bodies run by the engine's scheduler and
-	// committed by commitSoA/commitNext afterwards.
+	// The sweep bodies. The in-place sweep is a whole-visit serial loop;
+	// the Jacobi sweep is a chunk body run by the engine's scheduler and
+	// committed by commitNext afterwards.
 	sweepInPlace(tb *trace.Buffer, visit []int32) int64
-	sweepInPlaceSoA(visit []int32) int64
-	soaBody(counts []int64, visit []int32) func(worker int, ch parallel.Chunk)
-	genericBody(tb *trace.Buffer, counts []int64, visit []int32) func(worker int, ch parallel.Chunk)
-	commitSoA(visit []int32)
+	jacobiBody(tb *trace.Buffer, counts []int64, visit []int32) func(worker int, ch parallel.Chunk)
 	commitNext(visit []int32)
 
 	// Partitioned-driver hooks: decomposition input, local-mesh
@@ -109,26 +91,18 @@ type dimOps[D any] interface {
 	buildLocal(src *D, part *partition.Part) ([]int32, error)
 	refreshLocal(src *D, l2g []int32)
 	adoptKernel(src *D)
-	publish(dst *D, l2g, visit []int32, soa bool)
-	gather(idx []int32, buf []float64, soa bool)
-	scatter(idx []int32, buf []float64, soa bool)
+	publish(dst *D, l2g, visit []int32)
+	gather(idx []int32, buf []float64)
+	scatter(idx []int32, buf []float64)
 }
 
 // dim2 is the triangle-mesh dimension: the mesh, the run's resolved kernel
-// and metric, the structure-of-arrays coordinate mirrors (cx[i], cy[i] is
-// vertex i), and the Jacobi buffers. Fast-path runs pack m.Coords into the
-// mirrors at sweep entry and commit back at exit, so the hot loops read and
-// write per-axis float64 slices instead of gathering Point structs; see
-// fastpath.go. Between pack and commit the mirrors are authoritative and
-// m.Coords is stale.
+// and metric, and the Jacobi next buffer.
 type dim2 struct {
 	m    *mesh.Mesh
 	kern Kernel
 	met  quality.Metric
-
-	cx, cy []float64
-	nx, ny []float64
-	next   []geom.Point
+	next []geom.Point
 }
 
 // dim3 is the tetrahedral dimension; see dim2.
@@ -136,10 +110,7 @@ type dim3 struct {
 	m    *mesh.TetMesh
 	kern TetKernel
 	met  quality.TetMetric
-
-	cx, cy, cz []float64
-	nx, ny, nz []float64
-	next       []geom.Point3
+	next []geom.Point3
 }
 
 func (d *dim2) prepare(opt *Options) (bool, error) {
@@ -188,56 +159,6 @@ func (d *dim3) prepare(opt *Options) (bool, error) {
 func (d *dim2) kernelName() string { return d.kern.Name() }
 func (d *dim3) kernelName() string { return d.kern.Name() }
 
-func (d *dim2) boxMetric() { d.met = quality.BoxMetric(d.met) }
-func (d *dim3) boxMetric() { d.met = quality.BoxTetMetric(d.met) }
-
-// soaEligible: the smart kernel qualifies only with the metric its accept
-// test devirtualizes; the Jacobi kernels only without the Gauss-Seidel
-// ablation (whose in-place sweep goes through the interface Update).
-func (d *dim2) soaEligible(opt *Options) bool {
-	if opt.Trace != nil || opt.NoFastPath {
-		return false
-	}
-	switch k := d.kern.(type) {
-	case PlainKernel, WeightedKernel, ConstrainedKernel:
-		return !opt.GaussSeidel
-	case SmartKernel:
-		_, ok := k.Metric.(quality.EdgeRatio)
-		return ok
-	}
-	return false
-}
-
-func (d *dim3) soaEligible(opt *Options) bool {
-	if opt.Trace != nil || opt.NoFastPath {
-		return false
-	}
-	switch k := d.kern.(type) {
-	case PlainKernel3, WeightedKernel3, ConstrainedKernel3:
-		return !opt.GaussSeidel
-	case SmartKernel3:
-		_, ok := k.Metric.(quality.MeanRatio3)
-		return ok
-	}
-	return false
-}
-
-func (d *dim2) jacobiSoA() bool {
-	switch d.kern.(type) {
-	case PlainKernel, WeightedKernel, ConstrainedKernel:
-		return true
-	}
-	return false
-}
-
-func (d *dim3) jacobiSoA() bool {
-	switch d.kern.(type) {
-	case PlainKernel3, WeightedKernel3, ConstrainedKernel3:
-		return true
-	}
-	return false
-}
-
 func (d *dim2) release() { d.m, d.kern, d.met = nil, nil, nil }
 func (d *dim3) release() { d.m, d.kern, d.met = nil, nil, nil }
 
@@ -261,62 +182,16 @@ func (d *dim3) vertexQualities(ctx context.Context, qs *quality.Scratch, workers
 	return qs.TetVertexQualitiesParallel(ctx, d.m, d.met, workers, sched)
 }
 
-func (d *dim2) pack(jacobi bool) {
-	n := len(d.m.Coords)
-	d.cx, d.cy = growFloats(d.cx, n), growFloats(d.cy, n)
-	for i, p := range d.m.Coords {
-		d.cx[i], d.cy[i] = p.X, p.Y
-	}
-	if jacobi {
-		d.nx, d.ny = growFloats(d.nx, n), growFloats(d.ny, n)
-	}
-}
-
-func (d *dim3) pack(jacobi bool) {
-	n := len(d.m.Coords)
-	d.cx, d.cy, d.cz = growFloats(d.cx, n), growFloats(d.cy, n), growFloats(d.cz, n)
-	for i, p := range d.m.Coords {
-		d.cx[i], d.cy[i], d.cz[i] = p.X, p.Y, p.Z
-	}
-	if jacobi {
-		d.nx, d.ny, d.nz = growFloats(d.nx, n), growFloats(d.ny, n), growFloats(d.nz, n)
-	}
-}
-
-func (d *dim2) commit() {
-	for i := range d.m.Coords {
-		d.m.Coords[i] = geom.Point{X: d.cx[i], Y: d.cy[i]}
-	}
-}
-
-func (d *dim3) commit() {
-	for i := range d.m.Coords {
-		d.m.Coords[i] = geom.Point3{X: d.cx[i], Y: d.cy[i], Z: d.cz[i]}
-	}
-}
-
-func (d *dim2) snapshotCoords(soa bool) []float64 {
+func (d *dim2) snapshotCoords() []float64 {
 	out := make([]float64, 2*len(d.m.Coords))
-	if soa {
-		for i := range d.m.Coords {
-			out[2*i], out[2*i+1] = d.cx[i], d.cy[i]
-		}
-		return out
-	}
 	for i, p := range d.m.Coords {
 		out[2*i], out[2*i+1] = p.X, p.Y
 	}
 	return out
 }
 
-func (d *dim3) snapshotCoords(soa bool) []float64 {
+func (d *dim3) snapshotCoords() []float64 {
 	out := make([]float64, 3*len(d.m.Coords))
-	if soa {
-		for i := range d.m.Coords {
-			out[3*i], out[3*i+1], out[3*i+2] = d.cx[i], d.cy[i], d.cz[i]
-		}
-		return out
-	}
 	for i, p := range d.m.Coords {
 		out[3*i], out[3*i+1], out[3*i+2] = p.X, p.Y, p.Z
 	}
@@ -358,144 +233,83 @@ func (d *dim3) ensureNext() {
 	}
 }
 
-// measure: SoA runs with the devirtualized metric measure the mirrors
-// directly; SoA runs with any other metric first commit the mirrors so the
-// interface-dispatch pass sees current coordinates. Either way the value is
-// bit-identical to the non-SoA run's measurement.
-func (d *dim2) measure(ctx context.Context, qs *quality.Scratch, soa bool, workers int, sched parallel.Scheduler) (float64, error) {
-	if soa {
-		if _, ok := d.met.(quality.EdgeRatio); ok {
-			return qs.GlobalParallelSoA(ctx, d.m, d.cx, d.cy, workers, sched)
-		}
-		d.commit()
-	}
+func (d *dim2) measure(ctx context.Context, qs *quality.Scratch, workers int, sched parallel.Scheduler) (float64, error) {
 	return qs.GlobalParallel(ctx, d.m, d.met, workers, sched)
 }
 
-func (d *dim3) measure(ctx context.Context, qs *quality.Scratch, soa bool, workers int, sched parallel.Scheduler) (float64, error) {
-	if soa {
-		if _, ok := d.met.(quality.MeanRatio3); ok {
-			return qs.TetGlobalParallelSoA(ctx, d.m, d.cx, d.cy, d.cz, workers, sched)
-		}
-		d.commit()
-	}
+func (d *dim3) measure(ctx context.Context, qs *quality.Scratch, workers int, sched parallel.Scheduler) (float64, error) {
 	return qs.TetGlobalParallel(ctx, d.m, d.met, workers, sched)
 }
 
+// sweepInPlace applies each update to the mesh as soon as it is computed,
+// serially in visit order (the order is the semantics). A traced sweep
+// records the whole visit's touches first; the stream is the same as
+// recording each vertex just before its update.
 func (d *dim2) sweepInPlace(tb *trace.Buffer, visit []int32) int64 {
 	m, kern := d.m, d.kern
-	var accesses int64
+	traceTouches(tb, 0, m, visit)
+	var acc int64
 	for _, v := range visit {
-		traceTouch(tb, 0, m, v)
 		m.Coords[v] = kern.Update(m, v)
-		accesses += int64(m.Degree(v)) + 1
+		acc += int64(m.Degree(v)) + 1
 	}
-	return accesses
+	return acc
 }
 
 func (d *dim3) sweepInPlace(tb *trace.Buffer, visit []int32) int64 {
 	m, kern := d.m, d.kern
-	var accesses int64
+	traceTouches(tb, 0, m, visit)
+	var acc int64
 	for _, v := range visit {
-		traceTouch3(tb, 0, m, v)
 		m.Coords[v] = kern.Update(m, v)
-		accesses += int64(m.Degree(v)) + 1
+		acc += int64(m.Degree(v)) + 1
 	}
-	return accesses
+	return acc
 }
 
-// sweepInPlaceSoA: only the smart kernel is both in-place and SoA-eligible.
-func (d *dim2) sweepInPlaceSoA(visit []int32) int64 {
-	return sweepInPlaceSmart(d.m.Tris, d.m.TriStart, d.m.TriList, d.m.AdjStart, d.m.AdjList, d.cx, d.cy, visit)
-}
-
-func (d *dim3) sweepInPlaceSoA(visit []int32) int64 {
-	return sweepInPlaceSmart3(d.m.Tets, d.m.TetStart, d.m.TetList, d.m.AdjStart, d.m.AdjList, d.cx, d.cy, d.cz, visit)
-}
-
-// soaBody selects the monomorphic SoA chunk body for one Jacobi sweep of a
-// built-in kernel (see fastpath.go); only called when soaEligible approved
-// the kernel. The body allocates once per sweep (the closure), as the
-// engine always has.
-func (d *dim2) soaBody(counts []int64, visit []int32) func(worker int, ch parallel.Chunk) {
-	adjStart, adjList := d.m.AdjStart, d.m.AdjList
-	cx, cy, nx, ny := d.cx, d.cy, d.nx, d.ny
-	switch k := d.kern.(type) {
-	case PlainKernel:
-		return func(w int, ch parallel.Chunk) {
-			counts[w] += sweepChunkPlain(adjStart, adjList, cx, cy, nx, ny, visit[ch.Lo:ch.Hi])
-		}
-	case WeightedKernel:
-		return func(w int, ch parallel.Chunk) {
-			counts[w] += sweepChunkWeighted(adjStart, adjList, cx, cy, nx, ny, visit[ch.Lo:ch.Hi])
-		}
-	case ConstrainedKernel:
-		return func(w int, ch parallel.Chunk) {
-			counts[w] += sweepChunkConstrained(adjStart, adjList, cx, cy, nx, ny, visit[ch.Lo:ch.Hi], k.MaxDisplacement)
-		}
-	}
-	panic("smooth: soaBody called with non-fast-path kernel")
-}
-
-func (d *dim3) soaBody(counts []int64, visit []int32) func(worker int, ch parallel.Chunk) {
-	adjStart, adjList := d.m.AdjStart, d.m.AdjList
-	cx, cy, cz, nx, ny, nz := d.cx, d.cy, d.cz, d.nx, d.ny, d.nz
-	switch k := d.kern.(type) {
-	case PlainKernel3:
-		return func(w int, ch parallel.Chunk) {
-			counts[w] += sweepChunkPlain3(adjStart, adjList, cx, cy, cz, nx, ny, nz, visit[ch.Lo:ch.Hi])
-		}
-	case WeightedKernel3:
-		return func(w int, ch parallel.Chunk) {
-			counts[w] += sweepChunkWeighted3(adjStart, adjList, cx, cy, cz, nx, ny, nz, visit[ch.Lo:ch.Hi])
-		}
-	case ConstrainedKernel3:
-		return func(w int, ch parallel.Chunk) {
-			counts[w] += sweepChunkConstrained3(adjStart, adjList, cx, cy, cz, nx, ny, nz, visit[ch.Lo:ch.Hi], k.MaxDisplacement)
-		}
-	}
-	panic("smooth: soaBody called with non-fast-path kernel")
-}
-
-// genericBody builds the interface-dispatch chunk body for one Jacobi sweep
-// — user kernels, traced runs, and the NoFastPath ablation.
-func (d *dim2) genericBody(tb *trace.Buffer, counts []int64, visit []int32) func(worker int, ch parallel.Chunk) {
+// jacobiBody builds the chunk body of one Jacobi sweep: each chunk's
+// updates go to the next buffer, to be committed after the sweep. The type
+// switch runs once per chunk: the default kernel is called through its
+// concrete type, which the compiler calls directly instead of through the
+// interface's method table; every other kernel, custom ones included, takes
+// the interface case. A traced chunk records its touches (each vertex, then
+// its neighbors) before it updates. The body allocates once per sweep (the
+// closure).
+func (d *dim2) jacobiBody(tb *trace.Buffer, counts []int64, visit []int32) func(worker int, ch parallel.Chunk) {
 	m, kern, next := d.m, d.kern, d.next
 	return func(w int, ch parallel.Chunk) {
+		vs := visit[ch.Lo:ch.Hi]
+		traceTouches(tb, w, m, vs)
 		var acc int64
-		for _, v := range visit[ch.Lo:ch.Hi] {
-			traceTouch(tb, w, m, v)
-			next[v] = kern.Update(m, v)
-			acc += int64(m.Degree(v)) + 1
+		switch k := kern.(type) {
+		case PlainKernel:
+			for _, v := range vs {
+				next[v] = k.Update(m, v)
+				acc += int64(m.Degree(v)) + 1
+			}
+		default:
+			for _, v := range vs {
+				next[v] = kern.Update(m, v)
+				acc += int64(m.Degree(v)) + 1
+			}
 		}
 		counts[w] += acc
 	}
 }
 
-func (d *dim3) genericBody(tb *trace.Buffer, counts []int64, visit []int32) func(worker int, ch parallel.Chunk) {
+// jacobiBody has no concrete case in 3D: the plain 3D sweep measured no
+// faster through a direct PlainKernel3 call than through the interface.
+func (d *dim3) jacobiBody(tb *trace.Buffer, counts []int64, visit []int32) func(worker int, ch parallel.Chunk) {
 	m, kern, next := d.m, d.kern, d.next
 	return func(w int, ch parallel.Chunk) {
+		vs := visit[ch.Lo:ch.Hi]
+		traceTouches(tb, w, m, vs)
 		var acc int64
-		for _, v := range visit[ch.Lo:ch.Hi] {
-			traceTouch3(tb, w, m, v)
+		for _, v := range vs {
 			next[v] = kern.Update(m, v)
 			acc += int64(m.Degree(v)) + 1
 		}
 		counts[w] += acc
-	}
-}
-
-func (d *dim2) commitSoA(visit []int32) {
-	cx, cy, nx, ny := d.cx, d.cy, d.nx, d.ny
-	for _, v := range visit {
-		cx[v], cy[v] = nx[v], ny[v]
-	}
-}
-
-func (d *dim3) commitSoA(visit []int32) {
-	cx, cy, cz, nx, ny, nz := d.cx, d.cy, d.cz, d.nx, d.ny, d.nz
-	for _, v := range visit {
-		cx[v], cy[v], cz[v] = nx[v], ny[v], nz[v]
 	}
 }
 
@@ -563,27 +377,13 @@ func (d *dim3) adoptKernel(src *dim3) { d.kern = src.kern }
 // publish copies the partition's owned interior coordinates into their
 // global-mesh slots. Partitions own disjoint vertex sets, so concurrent
 // publishes never write the same slot.
-func (d *dim2) publish(dst *dim2, l2g, visit []int32, soa bool) {
-	if soa {
-		cx, cy := d.cx, d.cy
-		for _, l := range visit {
-			dst.m.Coords[l2g[l]] = geom.Point{X: cx[l], Y: cy[l]}
-		}
-		return
-	}
+func (d *dim2) publish(dst *dim2, l2g, visit []int32) {
 	for _, l := range visit {
 		dst.m.Coords[l2g[l]] = d.m.Coords[l]
 	}
 }
 
-func (d *dim3) publish(dst *dim3, l2g, visit []int32, soa bool) {
-	if soa {
-		cx, cy, cz := d.cx, d.cy, d.cz
-		for _, l := range visit {
-			dst.m.Coords[l2g[l]] = geom.Point3{X: cx[l], Y: cy[l], Z: cz[l]}
-		}
-		return
-	}
+func (d *dim3) publish(dst *dim3, l2g, visit []int32) {
 	for _, l := range visit {
 		dst.m.Coords[l2g[l]] = d.m.Coords[l]
 	}
@@ -592,88 +392,43 @@ func (d *dim3) publish(dst *dim3, l2g, visit []int32, soa bool) {
 // gather packs the listed local coordinates into a halo payload buffer
 // (axes() floats per vertex); scatter is its inverse over received
 // payloads.
-func (d *dim2) gather(idx []int32, buf []float64, soa bool) {
-	if soa {
-		cx, cy := d.cx, d.cy
-		for j, l := range idx {
-			buf[2*j], buf[2*j+1] = cx[l], cy[l]
-		}
-		return
-	}
+func (d *dim2) gather(idx []int32, buf []float64) {
 	for j, l := range idx {
 		p := d.m.Coords[l]
 		buf[2*j], buf[2*j+1] = p.X, p.Y
 	}
 }
 
-func (d *dim3) gather(idx []int32, buf []float64, soa bool) {
-	if soa {
-		cx, cy, cz := d.cx, d.cy, d.cz
-		for j, l := range idx {
-			buf[3*j], buf[3*j+1], buf[3*j+2] = cx[l], cy[l], cz[l]
-		}
-		return
-	}
+func (d *dim3) gather(idx []int32, buf []float64) {
 	for j, l := range idx {
 		p := d.m.Coords[l]
 		buf[3*j], buf[3*j+1], buf[3*j+2] = p.X, p.Y, p.Z
 	}
 }
 
-func (d *dim2) scatter(idx []int32, buf []float64, soa bool) {
-	if soa {
-		cx, cy := d.cx, d.cy
-		for j, l := range idx {
-			cx[l], cy[l] = buf[2*j], buf[2*j+1]
-		}
-		return
-	}
+func (d *dim2) scatter(idx []int32, buf []float64) {
 	for j, l := range idx {
 		d.m.Coords[l] = geom.Point{X: buf[2*j], Y: buf[2*j+1]}
 	}
 }
 
-func (d *dim3) scatter(idx []int32, buf []float64, soa bool) {
-	if soa {
-		cx, cy, cz := d.cx, d.cy, d.cz
-		for j, l := range idx {
-			cx[l], cy[l], cz[l] = buf[3*j], buf[3*j+1], buf[3*j+2]
-		}
-		return
-	}
+func (d *dim3) scatter(idx []int32, buf []float64) {
 	for j, l := range idx {
 		d.m.Coords[l] = geom.Point3{X: buf[3*j], Y: buf[3*j+1], Z: buf[3*j+2]}
 	}
 }
 
-// traceTouch records the access pattern of one vertex update: the smoothed
-// vertex, then each of its neighbors.
-func traceTouch(tb *trace.Buffer, core int, m *mesh.Mesh, v int32) {
+// traceTouches records the access pattern of updating visit's vertices on
+// core's stream: each vertex, then each of its neighbors. A nil buffer
+// records nothing.
+func traceTouches(tb *trace.Buffer, core int, g order.Graph, visit []int32) {
 	if tb == nil {
 		return
 	}
-	tb.Access(core, v)
-	for _, w := range m.Neighbors(v) {
-		tb.Access(core, w)
+	for _, v := range visit {
+		tb.Access(core, v)
+		for _, w := range g.Neighbors(v) {
+			tb.Access(core, w)
+		}
 	}
-}
-
-// traceTouch3 is traceTouch over a tetrahedral mesh.
-func traceTouch3(tb *trace.Buffer, core int, m *mesh.TetMesh, v int32) {
-	if tb == nil {
-		return
-	}
-	tb.Access(core, v)
-	for _, w := range m.Neighbors(v) {
-		tb.Access(core, w)
-	}
-}
-
-// growFloats returns a length-n scratch slice reusing buf's storage when it
-// fits; contents are unspecified until written.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }

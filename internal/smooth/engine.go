@@ -16,10 +16,9 @@ import (
 // and it owns the per-run scratch buffers (the visit sequence, the
 // per-worker access counters, the quality scratch) so repeated runs reuse
 // them instead of reallocating on the hot path. Everything
-// dimension-specific — coordinates, kernels, metrics, sweep loop bodies —
+// dimension-specific — the mesh, kernels, metrics, sweep loop bodies —
 // lives in the embedded dim value D, reached through the dimOps constraint
-// (see dim.go); the compiler stencils one engine per dimension, so the hot
-// loops stay monomorphic.
+// (see dim.go).
 type engine[D any, PD dimOps[D]] struct {
 	d      D
 	visit  []int32
@@ -90,13 +89,13 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 
 	// Checkpoint/resume: the fingerprint ties a checkpoint to the
 	// trajectory-affecting configuration; a resume restores the snapshot's
-	// coordinates before the mirrors pack and the traversal computes.
+	// coordinates before the traversal computes.
 	var fp string
 	if opt.Checkpoint != nil || opt.Resume != nil {
 		fp = configFingerprint[D, PD](d, &opt)
 	}
 	if opt.Resume != nil {
-		if err := opt.Resume.validateResume(fp, d.axes(), d.numVerts()); err != nil {
+		if err := opt.Resume.validateResume(fp, d.axes(), d.boundary(), len(d.interior())); err != nil {
 			return Result{}, err
 		}
 		d.restoreCoords(opt.Resume.Coords)
@@ -106,43 +105,21 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 		return Result{}, err
 	}
 
-	// Measurement configuration: the quality passes run on the same workers
-	// and scheduler as the sweep (bit-identical to serial by construction;
-	// see quality.GlobalParallel). The NoFastPath ablation forces the
-	// legacy serial interface-dispatch pass by boxing the metric and
-	// dropping the scheduler.
-	qworkers, qsched := opt.Workers, e.sched
-	if opt.NoFastPath {
-		d.boxMetric()
-		qworkers, qsched = 1, nil
-	}
-
-	// A resumed run replays the checkpointed visit order verbatim. For
+	// A resumed run replays the checkpointed visit order verbatim
+	// (validateResume checked it is a permutation of the interior). For
 	// in-place kernels the order is the semantics, so this is what makes
 	// the resume exact; for Jacobi kernels it merely skips recomputing a
 	// traversal whose order cannot affect the result anyway.
 	var visit []int32
 	if opt.Resume != nil && len(opt.Resume.Visit) > 0 {
 		visit = opt.Resume.Visit
-		if len(visit) != len(d.interior()) {
-			return Result{}, fmt.Errorf("smooth: resume checkpoint visits %d vertices, mesh has %d interior", len(visit), len(d.interior()))
-		}
 	} else {
-		visit, err = e.visitSequence(ctx, &opt, qworkers, qsched)
+		visit, err = e.visitSequence(ctx, &opt)
 		if err != nil {
 			return Result{}, err
 		}
 	}
-
-	// Fast-path runs operate on the SoA mirrors: pack the coordinates now
-	// and commit whatever state the mirrors hold on every exit, so the
-	// documented contract — the mesh holds the coordinates of the last
-	// completed sweep — survives cancellation and errors unchanged.
-	soa := d.soaEligible(&opt)
-	if soa {
-		d.pack(!inPlace)
-		defer d.commit()
-	} else if !inPlace {
+	if !inPlace {
 		d.ensureNext()
 	}
 
@@ -165,7 +142,7 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 			opt.Progress(cp.Iteration, prevQ)
 		}
 	} else {
-		q0, err := d.measure(ctx, &e.qs, soa, qworkers, qsched)
+		q0, err := d.measure(ctx, &e.qs, opt.Workers, e.sched)
 		if err != nil {
 			return Result{}, err
 		}
@@ -191,7 +168,7 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 		if err := opt.Faults.Fire(faultinject.PointEngineSweep); err != nil {
 			return res, err
 		}
-		acc, err := e.sweep(ctx, inPlace, soa, visit, &opt)
+		acc, err := e.sweep(ctx, inPlace, visit, &opt)
 		res.Accesses += acc
 		if err != nil {
 			return res, err
@@ -204,7 +181,7 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 			continue
 		}
 
-		q, err := d.measure(ctx, &e.qs, soa, qworkers, qsched)
+		q, err := d.measure(ctx, &e.qs, opt.Workers, e.sched)
 		if err != nil {
 			return res, err
 		}
@@ -224,7 +201,7 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 		if opt.Checkpoint != nil {
 			if sinceCkpt++; sinceCkpt >= opt.CheckpointEvery {
 				sinceCkpt = 0
-				opt.Checkpoint(makeCheckpoint[D, PD](d, fp, &res, visit, soa))
+				opt.Checkpoint(makeCheckpoint[D, PD](d, fp, &res, visit))
 			}
 		}
 	}
@@ -235,12 +212,9 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 // kernels compute into the next buffer across worker chunks — distributed
 // by the resolved scheduler — and commit afterwards; in-place kernels apply
 // each update immediately (serial). Returns the number of vertex accesses.
-func (e *engine[D, PD]) sweep(ctx context.Context, inPlace, soa bool, visit []int32, opt *Options) (int64, error) {
+func (e *engine[D, PD]) sweep(ctx context.Context, inPlace bool, visit []int32, opt *Options) (int64, error) {
 	d := PD(&e.d)
 	if inPlace {
-		if soa {
-			return d.sweepInPlaceSoA(visit), nil
-		}
 		return d.sweepInPlace(opt.Trace, visit), nil
 	}
 
@@ -248,41 +222,30 @@ func (e *engine[D, PD]) sweep(ctx context.Context, inPlace, soa bool, visit []in
 	// counts accumulate (each worker id runs on one goroutine per sweep, so
 	// no atomics are needed).
 	counts := e.countsBuffer(opt.Workers)
-	var body func(worker int, ch parallel.Chunk)
-	if soa {
-		body = d.soaBody(counts, visit)
-	} else {
-		body = d.genericBody(opt.Trace, counts, visit)
-	}
-	err := e.sched.Run(ctx, len(visit), opt.Workers, body)
+	err := e.sched.Run(ctx, len(visit), opt.Workers, d.jacobiBody(opt.Trace, counts, visit))
 	var accesses int64
 	for _, c := range counts {
 		accesses += c
 	}
 	if err != nil {
 		// Canceled mid-sweep: the next buffer may be incomplete, so do not
-		// commit it; the mesh (or its SoA mirror) keeps the previous
-		// iteration's coordinates.
+		// commit it; the mesh keeps the previous iteration's coordinates.
 		return accesses, err
 	}
-	if soa {
-		d.commitSoA(visit)
-	} else {
-		d.commitNext(visit)
-	}
+	d.commitNext(visit)
 	return accesses, nil
 }
 
 // visitSequence returns the interior vertices in the order the sweeps visit
 // them, reusing the engine's visit buffer for the quality-greedy traversal.
-// The initial vertex qualities driving the greedy walk are computed with
-// the same (parallel or serial) quality configuration as the measurements.
-func (e *engine[D, PD]) visitSequence(ctx context.Context, opt *Options, qworkers int, qsched parallel.Scheduler) ([]int32, error) {
+// The initial vertex qualities driving the greedy walk are computed on the
+// same workers and scheduler as the measurements.
+func (e *engine[D, PD]) visitSequence(ctx context.Context, opt *Options) ([]int32, error) {
 	d := PD(&e.d)
 	if opt.Traversal == StorageOrder {
 		return d.interior(), nil
 	}
-	vq, err := d.vertexQualities(ctx, &e.qs, qworkers, qsched)
+	vq, err := d.vertexQualities(ctx, &e.qs, opt.Workers, e.sched)
 	if err != nil {
 		return nil, err
 	}

@@ -3,17 +3,15 @@ package smooth
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
-	"lams/internal/geom"
 	"lams/internal/parallel"
 	"lams/internal/quality"
 	"lams/internal/trace"
 )
 
-// fastPathWorkerCounts is the worker axis of the fast-path equivalence
-// suite: serial, the small powers of two, and an oversubscribed 16.
+// fastPathWorkerCounts is the worker axis of the equivalence suite:
+// serial, the small powers of two, and an oversubscribed 16.
 var fastPathWorkerCounts = []int{1, 2, 4, 8, 16}
 
 // resultsEqual pins the full Result accounting two equivalent runs must
@@ -43,15 +41,14 @@ func resultsEqual(t *testing.T, got, want Result) {
 	}
 }
 
-// TestFastPathEquivalence is the 2D fast-path equivalence suite: for every
-// built-in kernel (including the in-place smart kernel), every built-in
-// metric, every registered schedule, both traversals, and workers 1–16, the
-// monomorphic fast path — the SoA sweep loops and the parallel quality
-// reduction — must produce bit-identical coordinates, accesses, and quality
-// values to the NoFastPath reference (interface dispatch, serial
-// measurement) run serially. This is the invariant that makes the fast
-// paths a pure optimization: there is no input on which the two paths can
-// be told apart by results.
+// TestFastPathEquivalence is the 2D equivalence suite: for every built-in
+// kernel (including the in-place smart kernel), every built-in metric, and
+// both traversals, the run at every registered schedule and workers 1–16
+// must produce bit-identical coordinates, accesses, and quality values to
+// the serial run of the same configuration. The default kernel and metric
+// take the sweep's and the quality passes' concrete-type cases (the fast
+// path), the others the interface cases; TestFastPathMatchesInterface pins
+// the two cases against each other.
 func TestFastPathEquivalence(t *testing.T) {
 	base := genMesh(t, 1600)
 	const iters = 3
@@ -64,7 +61,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				ref := base.Clone()
 				refRes, err := Run(ref, Options{
 					MaxIters: iters, Tol: -1, Traversal: traversal,
-					Kernel: kern, Metric: met, NoFastPath: true,
+					Kernel: kern, Metric: met,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -105,7 +102,7 @@ func TestFastPathEquivalence3(t *testing.T) {
 				ref := base.Clone()
 				refRes, err := RunTet(ref, Options{
 					MaxIters: iters, Tol: -1, Traversal: traversal,
-					TetKernel: kern, TetMetric: met, NoFastPath: true,
+					TetKernel: kern, TetMetric: met,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -133,9 +130,74 @@ func TestFastPathEquivalence3(t *testing.T) {
 	}
 }
 
-// TestFastPathTracedRunsMatch pins that a traced run (which always takes
-// the generic body so every access lands on the trace) still produces the
-// same results as the untraced fast path.
+// ifaceKernel, ifaceKernel3, ifaceMetric and ifaceTetMetric hide a
+// kernel's or metric's concrete type, so the engine and the quality passes
+// take their interface cases, as they do for custom kernels and metrics.
+type ifaceKernel struct{ Kernel }
+
+type ifaceKernel3 struct{ TetKernel }
+
+type ifaceMetric struct{ quality.Metric }
+
+type ifaceTetMetric struct{ quality.TetMetric }
+
+// TestFastPathMatchesInterface pins the concrete-type cases (the 2D default
+// kernel, the default metrics, and the smart kernel's accept test through
+// the default metric) to the interface cases: the same kernels and metrics
+// behind a wrapper must produce bit-identical results, in both dimensions,
+// serially and with parallel chunks and measurements.
+func TestFastPathMatchesInterface(t *testing.T) {
+	base := genMesh(t, 1200)
+	base3 := genTetMesh(t, 7)
+	for _, workers := range []int{1, 4} {
+		for _, smart := range []bool{false, true} {
+			name := fmt.Sprintf("smart=%t/workers=%d", smart, workers)
+			t.Run(name, func(t *testing.T) {
+				opt := Options{MaxIters: 3, Tol: -1, Workers: workers}
+				iopt := opt
+				iopt.Kernel, iopt.Metric = ifaceKernel{PlainKernel{}}, ifaceMetric{quality.EdgeRatio{}}
+				if smart {
+					opt.Kernel = SmartKernel{}
+					iopt.Kernel = ifaceKernel{SmartKernel{Metric: ifaceMetric{quality.EdgeRatio{}}}}
+				}
+				want, got := base.Clone(), base.Clone()
+				wantRes, err := Run(want, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(got, iopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coordsEqual(t, name, got, want)
+				resultsEqual(t, res, wantRes)
+
+				opt3 := Options{MaxIters: 3, Tol: -1, Workers: workers}
+				iopt3 := opt3
+				iopt3.TetKernel, iopt3.TetMetric = ifaceKernel3{PlainKernel3{}}, ifaceTetMetric{quality.MeanRatio3{}}
+				if smart {
+					opt3.TetKernel = SmartKernel3{}
+					iopt3.TetKernel = ifaceKernel3{SmartKernel3{Metric: ifaceTetMetric{quality.MeanRatio3{}}}}
+				}
+				want3, got3 := base3.Clone(), base3.Clone()
+				wantRes3, err := RunTet(want3, opt3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res3, err := RunTet(got3, iopt3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coords3Equal(t, name+" 3D", got3, want3)
+				resultsEqual(t, res3, wantRes3)
+			})
+		}
+	}
+}
+
+// TestFastPathTracedRunsMatch pins that a traced run, which records each
+// chunk's touches before updating it, produces the same results as the
+// untraced run.
 func TestFastPathTracedRunsMatch(t *testing.T) {
 	base := genMesh(t, 1200)
 	ref := base.Clone()
@@ -149,7 +211,7 @@ func TestFastPathTracedRunsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordsEqual(t, "traced vs fast", got, ref)
+	coordsEqual(t, "traced vs untraced", got, ref)
 	resultsEqual(t, res, refRes)
 }
 
@@ -186,108 +248,46 @@ func TestSmartKernelMetricHoist(t *testing.T) {
 	resultsEqual(t, resI3, resE3)
 }
 
-// TestSmartGenericAcceptMetricEquivalence pins the generic fallback for
-// smart kernels with an accept metric the fast path does not devirtualize:
-// the run is SoA-ineligible and goes through the interface Update, and its
-// parallel-measurement results must still be bit-identical to the NoFastPath
-// serial reference.
+// TestSmartGenericAcceptMetricEquivalence pins the smart kernel with a
+// non-default accept metric, whose accept test calls the metric through the
+// interface: the run at every registered schedule and worker count (the
+// sweep stays serial, the measurements parallelize) must be bit-identical to
+// the serial run of the same configuration, in both dimensions.
 func TestSmartGenericAcceptMetricEquivalence(t *testing.T) {
 	base := genMesh(t, 900)
-	ref := base.Clone()
-	refRes, err := Run(ref, Options{
-		MaxIters: 3, Tol: -1, Kernel: SmartKernel{Metric: quality.MinAngle{}}, NoFastPath: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := base.Clone()
-	res, err := Run(got, Options{
-		MaxIters: 3, Tol: -1, Kernel: SmartKernel{Metric: quality.MinAngle{}}, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordsEqual(t, "smart generic accept metric", got, ref)
-	resultsEqual(t, res, refRes)
-
 	base3 := genTetMesh(t, 5)
-	ref3 := base3.Clone()
-	refRes3, err := RunTet(ref3, Options{
-		MaxIters: 3, Tol: -1, TetKernel: SmartKernel3{Metric: quality.EdgeRatio3{}}, NoFastPath: true,
-	})
+	opt := Options{MaxIters: 3, Tol: -1, Kernel: SmartKernel{Metric: quality.MinAngle{}}}
+	opt3 := Options{MaxIters: 3, Tol: -1, TetKernel: SmartKernel3{Metric: quality.EdgeRatio3{}}}
+	ref, ref3 := base.Clone(), base3.Clone()
+	refRes, err := Run(ref, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3 := base3.Clone()
-	res3, err := RunTet(got3, Options{
-		MaxIters: 3, Tol: -1, TetKernel: SmartKernel3{Metric: quality.EdgeRatio3{}}, Workers: 4,
-	})
+	refRes3, err := RunTet(ref3, opt3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords3Equal(t, "smart generic accept metric 3D", got3, ref3)
-	resultsEqual(t, res3, refRes3)
-}
-
-// soaSpecials is the set of coordinate values whose bit patterns a plain
-// float64 copy must preserve: quiet NaNs (including a payload that a
-// comparison-based round trip would lose), both signed zeros, both
-// infinities, and denormals.
-var soaSpecials = []float64{
-	math.NaN(),
-	math.Float64frombits(0x7FF8_0000_0000_BEEF), // NaN with payload
-	math.Copysign(0, -1),
-	0,
-	math.Inf(1),
-	math.Inf(-1),
-	math.SmallestNonzeroFloat64,
-	-math.SmallestNonzeroFloat64,
-	1.5, -2.25,
-}
-
-// TestSoAPackCommitRoundTrip is the SoA pack/commit property test: packing
-// m.Coords into the engines' per-axis mirrors and committing back must
-// reproduce every coordinate bit-for-bit — including NaNs (which compare
-// unequal to themselves, so an arithmetic round trip would pass vacuously or
-// fail spuriously), NaN payloads, and the sign of zero.
-func TestSoAPackCommitRoundTrip(t *testing.T) {
-	m := genMesh(t, 300)
-	for i := range m.Coords {
-		m.Coords[i].X = soaSpecials[i%len(soaSpecials)]
-		m.Coords[i].Y = soaSpecials[(i*3+1)%len(soaSpecials)]
-	}
-	want := append([]geom.Point(nil), m.Coords...)
-	d := dim2{m: m}
-	d.pack(true)
-	for i := range m.Coords {
-		m.Coords[i] = geom.Point{} // commit must fully overwrite
-	}
-	d.commit()
-	for i := range m.Coords {
-		if math.Float64bits(m.Coords[i].X) != math.Float64bits(want[i].X) ||
-			math.Float64bits(m.Coords[i].Y) != math.Float64bits(want[i].Y) {
-			t.Fatalf("vertex %d: round trip %v -> %v", i, want[i], m.Coords[i])
-		}
-	}
-
-	m3 := genTetMesh(t, 4)
-	for i := range m3.Coords {
-		m3.Coords[i].X = soaSpecials[i%len(soaSpecials)]
-		m3.Coords[i].Y = soaSpecials[(i*3+1)%len(soaSpecials)]
-		m3.Coords[i].Z = soaSpecials[(i*7+2)%len(soaSpecials)]
-	}
-	want3 := append([]geom.Point3(nil), m3.Coords...)
-	d3 := dim3{m: m3}
-	d3.pack(true)
-	for i := range m3.Coords {
-		m3.Coords[i] = geom.Point3{}
-	}
-	d3.commit()
-	for i := range m3.Coords {
-		if math.Float64bits(m3.Coords[i].X) != math.Float64bits(want3[i].X) ||
-			math.Float64bits(m3.Coords[i].Y) != math.Float64bits(want3[i].Y) ||
-			math.Float64bits(m3.Coords[i].Z) != math.Float64bits(want3[i].Z) {
-			t.Fatalf("vertex %d: round trip %v -> %v", i, want3[i], m3.Coords[i])
+	for _, schedule := range parallel.Schedules() {
+		for _, workers := range fastPathWorkerCounts {
+			name := fmt.Sprintf("%s/workers=%d", schedule, workers)
+			t.Run(name, func(t *testing.T) {
+				o, o3 := opt, opt3
+				o.Schedule, o.Workers = schedule, workers
+				o3.Schedule, o3.Workers = schedule, workers
+				got, got3 := base.Clone(), base3.Clone()
+				res, err := Run(got, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coordsEqual(t, "smart generic accept metric", got, ref)
+				resultsEqual(t, res, refRes)
+				res3, err := RunTet(got3, o3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coords3Equal(t, "smart generic accept metric 3D", got3, ref3)
+				resultsEqual(t, res3, refRes3)
+			})
 		}
 	}
 }
@@ -428,11 +428,11 @@ func TestConvergeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSmartConvergeSteadyStateAllocs pins the smart-kernel (SoA in-place)
-// steady-state budget in both dimensions: the SoA pack/commit and the
-// monomorphic accept-test sweep reuse the engine mirrors, so a warm Run adds
-// nothing beyond the history slice and the measurement pass's per-sweep
-// closures — the same budget as the Jacobi engines.
+// TestSmartConvergeSteadyStateAllocs pins the smart-kernel (in-place)
+// steady-state budget in both dimensions: the serial accept-test sweep
+// writes the mesh directly, so a warm Run adds nothing beyond the history
+// slice and the measurement pass's per-sweep closures — the same budget as
+// the Jacobi engines.
 func TestSmartConvergeSteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
 	const iters = 3

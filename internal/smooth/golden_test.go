@@ -9,15 +9,24 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"lams/internal/mesh"
+	"lams/internal/quality"
+	"lams/internal/trace"
 )
 
 // The golden-hash regression pins the engine's numerical output — committed
 // coordinates, quality history, access counts, iteration count — for a fixed
-// matrix of dim × kernel × schedule × workers × partitions configurations.
-// The hashes in testdata/golden_hashes.json were captured from the
-// pre-unification twin engines (Smoother/Smoother3 before the
-// dimension-generic refactor); the unified engine must reproduce every one
+// matrix of dim × kernel × schedule × workers × partitions configurations,
+// plus axis cells for non-default metrics, storage-order traversal,
+// Gauss-Seidel updates, a measurement cadence, and traced runs (whose
+// per-worker access streams are hashed too). The seed-matrix hashes in
+// testdata/golden_hashes.json were captured from the pre-unification twin
+// engines (Smoother/Smoother3 before the dimension-generic refactor), the
+// axis-cell hashes from the engine that still kept structure-of-arrays
+// coordinate mirrors beside Mesh.Coords; the engine must reproduce every one
 // of them bitwise. Regenerate with GOLDEN_UPDATE=1 only when an intentional
 // numerical change is being made, and say so in the commit.
 
@@ -30,37 +39,141 @@ const (
 
 var goldenFile = filepath.Join("testdata", "golden_hashes.json")
 
+// The matrix smooths clones of one generated mesh per dimension; generating
+// it once keeps the matrix (and its resume axis, which runs every cell
+// several times) cheap under -race.
+var (
+	goldenOnce2, goldenOnce3 sync.Once
+	goldenBase2              *mesh.Mesh
+	goldenBase3              *mesh.TetMesh
+)
+
+func goldenMesh2(t *testing.T) *mesh.Mesh {
+	t.Helper()
+	goldenOnce2.Do(func() { goldenBase2 = genMesh(t, goldenVerts2) })
+	if goldenBase2 == nil {
+		t.Fatal("generating the golden 2D mesh failed")
+	}
+	return goldenBase2
+}
+
+func goldenMesh3(t *testing.T) *mesh.TetMesh {
+	t.Helper()
+	goldenOnce3.Do(func() { goldenBase3 = genTetMesh(t, goldenCells3) })
+	if goldenBase3 == nil {
+		t.Fatal("generating the golden 3D mesh failed")
+	}
+	return goldenBase3
+}
+
 type goldenCase struct {
 	Dim        int
 	Kernel     string
 	Schedule   string
 	Workers    int
 	Partitions int
+
+	// The axes beyond the seed matrix. Their zero values are the seed
+	// cells' settings and leave the cell name unchanged.
+
+	// Metric names a non-default metric from goldenMetrics2/goldenMetrics3:
+	// the run's measurement metric and, for the smart kernel, its accept
+	// metric too.
+	Metric      string
+	Traversal   Traversal
+	GaussSeidel bool
+	CheckEvery  int
+	// Traced records the run's access trace and folds every worker's
+	// stream, iteration by iteration, into the hash.
+	Traced bool
 }
 
 func (c goldenCase) name() string {
-	return fmt.Sprintf("dim=%d/kernel=%s/schedule=%s/workers=%d/partitions=%d",
+	s := fmt.Sprintf("dim=%d/kernel=%s/schedule=%s/workers=%d/partitions=%d",
 		c.Dim, c.Kernel, c.Schedule, c.Workers, c.Partitions)
+	if c.Metric != "" {
+		s += "/metric=" + c.Metric
+	}
+	if c.Traversal != QualityGreedy {
+		s += "/traversal=" + c.Traversal.String()
+	}
+	if c.GaussSeidel {
+		s += "/gauss-seidel"
+	}
+	if c.CheckEvery > 1 {
+		s += fmt.Sprintf("/checkevery=%d", c.CheckEvery)
+	}
+	if c.Traced {
+		s += "/traced"
+	}
+	return s
 }
 
-// goldenMatrix enumerates the seed matrix. The smart kernel updates in
-// place, which partitioned runs reject, so its partitions>1 cells are
-// omitted rather than recorded as errors.
+var (
+	goldenKernels  = []string{"plain", "smart", "weighted", "constrained"}
+	goldenMetrics2 = map[string]quality.Metric{"min-angle": quality.MinAngle{}, "aspect-ratio": quality.AspectRatio{}}
+	goldenMetrics3 = map[string]quality.TetMetric{"edge-ratio3": quality.EdgeRatio3{}}
+)
+
+// goldenMatrix enumerates the seed matrix followed by the axis cells. The
+// smart kernel updates in place, which partitioned runs reject, so its
+// partitions>1 cells are omitted rather than recorded as errors.
 func goldenMatrix() []goldenCase {
 	var cases []goldenCase
 	for _, dim := range []int{2, 3} {
-		for _, kernel := range []string{"plain", "smart", "weighted", "constrained"} {
+		for _, kernel := range goldenKernels {
 			for _, schedule := range []string{"static", "guided", "stealing"} {
 				for _, workers := range []int{1, 4} {
 					for _, partitions := range []int{1, 3} {
 						if kernel == "smart" && partitions > 1 {
 							continue
 						}
-						cases = append(cases, goldenCase{dim, kernel, schedule, workers, partitions})
+						cases = append(cases, goldenCase{Dim: dim, Kernel: kernel, Schedule: schedule, Workers: workers, Partitions: partitions})
 					}
 				}
 			}
 		}
+	}
+	return append(cases, goldenAxisCells()...)
+}
+
+// goldenAxisCells varies one setting at a time away from the seed matrix's
+// defaults. Traced cells use the static schedule only: it is the one
+// schedule whose worker-to-chunk assignment, and so each worker's access
+// stream, is deterministic.
+func goldenAxisCells() []goldenCase {
+	var cases []goldenCase
+	for _, dim := range []int{2, 3} {
+		metrics := []string{"min-angle", "aspect-ratio"}
+		if dim == 3 {
+			metrics = []string{"edge-ratio3"}
+		}
+		for _, met := range metrics {
+			for _, workers := range []int{1, 4} {
+				cases = append(cases,
+					goldenCase{Dim: dim, Kernel: "plain", Schedule: "static", Workers: workers, Partitions: 1, Metric: met},
+					goldenCase{Dim: dim, Kernel: "plain", Schedule: "stealing", Workers: workers, Partitions: 3, Metric: met},
+					goldenCase{Dim: dim, Kernel: "smart", Schedule: "static", Workers: workers, Partitions: 1, Metric: met})
+			}
+		}
+		for _, kernel := range goldenKernels {
+			for _, workers := range []int{1, 4} {
+				base := goldenCase{Dim: dim, Kernel: kernel, Schedule: "static", Workers: workers, Partitions: 1}
+				storage, every, traced := base, base, base
+				storage.Traversal = StorageOrder
+				every.CheckEvery = 3
+				traced.Traced = true
+				cases = append(cases, storage, every, traced)
+				if kernel != "smart" {
+					gs := base
+					gs.GaussSeidel = true
+					cases = append(cases, gs)
+				}
+			}
+		}
+		cases = append(cases,
+			goldenCase{Dim: dim, Kernel: "plain", Schedule: "guided", Workers: 4, Partitions: 3, CheckEvery: 3},
+			goldenCase{Dim: dim, Kernel: "plain", Schedule: "static", Workers: 1, Partitions: 1, GaussSeidel: true, Traced: true})
 	}
 	return cases
 }
@@ -77,22 +190,44 @@ func goldenHashI64(h hash.Hash64, v int64) {
 	h.Write(b[:])
 }
 
-func goldenKernel2(t *testing.T, name string) Kernel {
+// goldenKernel2 resolves a registry kernel whose smart accept metric is met
+// (nil for the default).
+func goldenKernel2(t *testing.T, name string, met quality.Metric) Kernel {
 	t.Helper()
-	k, err := KernelByName(name, KernelConfig{MaxDisplacement: goldenMaxD})
+	k, err := KernelByName(name, KernelConfig{Metric: met, MaxDisplacement: goldenMaxD})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k
 }
 
-func goldenKernel3(t *testing.T, name string) TetKernel {
+func goldenKernel3(t *testing.T, name string, met quality.TetMetric) TetKernel {
 	t.Helper()
-	k, err := TetKernelByName(name, KernelConfig{MaxDisplacement: goldenMaxD})
+	k, err := TetKernelByName(name, KernelConfig{TetMetric: met, MaxDisplacement: goldenMaxD})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// goldenHashTrace folds every worker's access stream into h, iteration by
+// iteration, so both the streams and their iteration boundaries are pinned.
+func goldenHashTrace(t *testing.T, h hash.Hash64, tb *trace.Buffer) {
+	t.Helper()
+	goldenHashI64(h, int64(tb.NumCores()))
+	goldenHashI64(h, int64(tb.Iterations()))
+	for c := 0; c < tb.NumCores(); c++ {
+		for it := 0; it < tb.Iterations(); it++ {
+			s, err := tb.IterSlice(c, it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldenHashI64(h, int64(len(s)))
+			for _, v := range s {
+				goldenHashI64(h, int64(v))
+			}
+		}
+	}
 }
 
 // goldenRun executes one matrix cell from a fresh mesh and folds the
@@ -108,12 +243,18 @@ func goldenRunOpts(t *testing.T, c goldenCase, mod func(*Options)) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	var res Result
+	var tb *trace.Buffer
+	if c.Traced {
+		tb = trace.NewBuffer(c.Workers)
+	}
 	if c.Dim == 2 {
-		m := genMesh(t, goldenVerts2)
+		m := goldenMesh2(t).Clone()
+		met := goldenMetrics2[c.Metric]
 		opt := Options{
 			MaxIters: goldenIters, Tol: -1,
 			Workers: c.Workers, Schedule: c.Schedule,
-			Kernel: goldenKernel2(t, c.Kernel), Partitions: c.Partitions,
+			Kernel: goldenKernel2(t, c.Kernel, met), Metric: met, Partitions: c.Partitions,
+			Traversal: c.Traversal, GaussSeidel: c.GaussSeidel, CheckEvery: c.CheckEvery, Trace: tb,
 		}
 		if mod != nil {
 			mod(&opt)
@@ -128,11 +269,13 @@ func goldenRunOpts(t *testing.T, c goldenCase, mod func(*Options)) uint64 {
 			goldenHashF64(h, p.Y)
 		}
 	} else {
-		m := genTetMesh(t, goldenCells3)
+		m := goldenMesh3(t).Clone()
+		met := goldenMetrics3[c.Metric]
 		opt := Options{
 			MaxIters: goldenIters, Tol: -1,
 			Workers: c.Workers, Schedule: c.Schedule,
-			TetKernel: goldenKernel3(t, c.Kernel), Partitions: c.Partitions,
+			TetKernel: goldenKernel3(t, c.Kernel, met), TetMetric: met, Partitions: c.Partitions,
+			Traversal: c.Traversal, GaussSeidel: c.GaussSeidel, CheckEvery: c.CheckEvery, Trace: tb,
 		}
 		if mod != nil {
 			mod(&opt)
@@ -155,6 +298,9 @@ func goldenRunOpts(t *testing.T, c goldenCase, mod func(*Options)) uint64 {
 	goldenHashF64(h, res.FinalQuality)
 	goldenHashI64(h, int64(res.Iterations))
 	goldenHashI64(h, res.Accesses)
+	if tb != nil {
+		goldenHashTrace(t, h, tb)
+	}
 	return h.Sum64()
 }
 
@@ -225,7 +371,8 @@ func TestGoldenHashes(t *testing.T) {
 // checkpoint, and every resumed run must land on the cell's committed
 // golden hash — interrupt-and-resume is bitwise invisible at any
 // checkpoint of any cell. No new hashes are recorded; the pre-resume
-// hashes are the contract.
+// hashes are the contract. Traced cells are skipped: a resumed run traces
+// only the sweeps it executes, so its streams differ by design.
 func TestGoldenResumeAxis(t *testing.T) {
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		t.Skip("golden update run")
@@ -240,6 +387,9 @@ func TestGoldenResumeAxis(t *testing.T) {
 	}
 	for _, c := range goldenMatrix() {
 		c := c
+		if c.Traced {
+			continue
+		}
 		t.Run(c.name(), func(t *testing.T) {
 			want, ok := rec.Hashes[c.name()]
 			if !ok {
@@ -252,9 +402,12 @@ func TestGoldenResumeAxis(t *testing.T) {
 			if got != want {
 				t.Fatalf("checkpointed run hash = %s, want %s (emitting checkpoints must not perturb the run)", got, want)
 			}
-			// Tol is disabled and CheckEvery is 1, so every sweep emits.
-			if len(cps) != goldenIters {
-				t.Fatalf("captured %d checkpoints, want %d", len(cps), goldenIters)
+			// Tol is disabled, so every measured sweep emits: every
+			// CheckEvery-th one plus the final one.
+			every := max(c.CheckEvery, 1)
+			wantCps := (goldenIters + every - 1) / every
+			if len(cps) != wantCps {
+				t.Fatalf("captured %d checkpoints, want %d", len(cps), wantCps)
 			}
 			for _, cp := range cps {
 				cp := cp

@@ -17,7 +17,7 @@ import (
 // partDriver runs the convergence loop across k cooperating engines: the
 // mesh is decomposed into k partitions (see internal/partition), each
 // partition is smoothed by its own engine on its own goroutine — with its
-// own SoA mirrors, scratch, and scheduler — and the engines barrier after
+// own local mesh, scratch, and scheduler — and the engines barrier after
 // every Jacobi sweep to exchange halo (ghost) coordinates and publish their
 // owned vertices back to the global mesh, where the driver measures quality
 // with the same fixed-block ordered reduction the single engine uses. Like
@@ -72,7 +72,6 @@ type partUnit[D any, PD dimOps[D]] struct {
 	sBuf  [][]float64
 
 	// Per-run state.
-	soa bool
 	acc int64
 	err error
 }
@@ -183,7 +182,7 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 		fp = configFingerprint[D, PD](d, &opt)
 	}
 	if opt.Resume != nil {
-		if err := opt.Resume.validateResume(fp, d.axes(), d.numVerts()); err != nil {
+		if err := opt.Resume.validateResume(fp, d.axes(), d.boundary(), len(d.interior())); err != nil {
 			return Result{}, err
 		}
 		d.restoreCoords(opt.Resume.Coords)
@@ -196,21 +195,9 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 		return Result{}, err
 	}
 
-	// Measurement configuration, exactly as the single engine sets it up:
-	// the global quality passes run over the global mesh with the fixed
-	// 1024-element reduction blocking, so the measured values are
-	// bit-identical at any worker count and schedule.
-	qworkers, qsched := opt.Workers, ps.sched
-	if opt.NoFastPath {
-		d.boxMetric()
-		qworkers, qsched = 1, nil
-	}
-
 	// Per-run engine preparation: refresh local coordinates from the
 	// global mesh, resolve each engine's scheduler, adopt the driver's
-	// resolved kernel, and pack the SoA mirrors (or size the generic
-	// Jacobi buffer).
-	soa := !opt.NoFastPath && d.jacobiSoA()
+	// resolved kernel, and size the Jacobi next buffer.
 	for _, pu := range ps.parts {
 		ld := PD(&pu.eng.d)
 		ld.refreshLocal(&ps.d, pu.l2g)
@@ -218,12 +205,7 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 			return Result{}, err
 		}
 		ld.adoptKernel(&ps.d)
-		pu.soa = soa
-		if soa {
-			ld.pack(true)
-		} else {
-			ld.ensureNext()
-		}
+		ld.ensureNext()
 	}
 	if ce, ok := ps.ex.(*partition.ChanExchanger); ok {
 		ce.Reset()
@@ -251,7 +233,11 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 			opt.Progress(cp.Iteration, prevQ)
 		}
 	} else {
-		q0, err := d.measure(ctx, &ps.qs, false, qworkers, qsched)
+		// The global quality passes run over the global mesh with the
+		// fixed 1024-element reduction blocking, exactly as the single
+		// engine measures, so the values are bit-identical at any worker
+		// count and schedule.
+		q0, err := d.measure(ctx, &ps.qs, opt.Workers, ps.sched)
 		if err != nil {
 			return Result{}, err
 		}
@@ -283,7 +269,7 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 		// keeps the global mesh untorn: no partition's sweep-i result
 		// becomes visible unless every partition completed sweep i.
 		ps.fanOut(func(pu *partUnit[D, PD]) {
-			pu.acc, pu.err = pu.eng.sweep(ctx, false, pu.soa, pu.visit, &opt)
+			pu.acc, pu.err = pu.eng.sweep(ctx, false, pu.visit, &opt)
 		})
 		firstErr := error(nil)
 		for _, pu := range ps.parts {
@@ -311,7 +297,7 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 			exCtx, exCancel = context.WithCancel(ctx)
 		}
 		ps.fanOut(func(pu *partUnit[D, PD]) {
-			PD(&pu.eng.d).publish(&ps.d, pu.l2g, pu.visit, pu.soa)
+			PD(&pu.eng.d).publish(&ps.d, pu.l2g, pu.visit)
 			pu.err = pu.exchange(exCtx, ps.ex)
 			if pu.err != nil && exCancel != nil {
 				exCancel()
@@ -339,7 +325,7 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 		if res.Iterations%opt.CheckEvery != 0 && iter != opt.MaxIters-1 {
 			continue
 		}
-		q, err := d.measure(ctx, &ps.qs, false, qworkers, qsched)
+		q, err := d.measure(ctx, &ps.qs, opt.Workers, ps.sched)
 		if err != nil {
 			return res, err
 		}
@@ -355,12 +341,11 @@ func (ps *partDriver[D, PD]) run(ctx context.Context, opt Options) (Result, erro
 
 		// Emit after the publish barrier and the measurement: the global
 		// mesh holds every partition's sweep-i coordinates, so the
-		// snapshot reads it directly (soa=false — the mirrors are local to
-		// the partition engines).
+		// snapshot reads it directly.
 		if opt.Checkpoint != nil {
 			if sinceCkpt++; sinceCkpt >= opt.CheckpointEvery {
 				sinceCkpt = 0
-				opt.Checkpoint(makeCheckpoint[D, PD](d, fp, &res, nil, false))
+				opt.Checkpoint(makeCheckpoint[D, PD](d, fp, &res, nil))
 			}
 		}
 	}
@@ -394,14 +379,14 @@ func (pu *partUnit[D, PD]) exchange(ctx context.Context, ex partition.Exchanger)
 	}
 	d := PD(&pu.eng.d)
 	for i, idx := range pu.sIdx {
-		d.gather(idx, pu.sBuf[i], pu.soa)
+		d.gather(idx, pu.sBuf[i])
 	}
 	incoming, err := ex.Exchange(ctx, pu.index, pu.sBuf)
 	if err != nil {
 		return err
 	}
 	for i, idx := range pu.rIdx {
-		d.scatter(idx, incoming[i], pu.soa)
+		d.scatter(idx, incoming[i])
 	}
 	return nil
 }

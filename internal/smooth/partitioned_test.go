@@ -10,6 +10,7 @@ import (
 	"lams/internal/mesh"
 	"lams/internal/parallel"
 	"lams/internal/partition"
+	"lams/internal/quality"
 )
 
 // partitionCounts is the partition-count axis of the partitioned
@@ -143,7 +144,7 @@ func TestPartitionedConvergenceDecisions(t *testing.T) {
 		{MaxIters: 25, CheckEvery: 3},             // measurement cadence + final-sweep measure
 		{MaxIters: 40, GoalQuality: 0.9, Tol: -1}, // goal-quality stop
 		{MaxIters: 7, CheckEvery: 4, Tol: -1},     // cap hits off-cadence
-		{MaxIters: 30, Kernel: WeightedKernel{}},  // non-default fast-path kernel
+		{MaxIters: 30, Kernel: WeightedKernel{}},  // non-default kernel (interface case)
 		{MaxIters: 30, Kernel: ConstrainedKernel{MaxDisplacement: 0.001}},
 	}
 	for i, opt := range cases {
@@ -166,8 +167,8 @@ func TestPartitionedConvergenceDecisions(t *testing.T) {
 	}
 }
 
-// sumKernel is a user-supplied (non-fast-path) kernel: the partitioned
-// generic interface-dispatch path must be bit-identical too.
+// sumKernel is a user-supplied kernel: the partitioned interface-dispatch
+// sweep must be bit-identical too.
 type sumKernel struct{}
 
 func (sumKernel) Name() string  { return "test-sum" }
@@ -176,15 +177,16 @@ func (sumKernel) Update(m *mesh.Mesh, v int32) geom.Point {
 	return PlainKernel{}.Update(m, v)
 }
 
-// TestPartitionedGenericPathEquivalence pins the interface-dispatch sweep
-// path (custom kernels and the NoFastPath ablation) to the single-engine
-// result.
+// TestPartitionedGenericPathEquivalence pins the interface cases of the
+// sweep (a custom kernel, a non-default built-in kernel) and of the
+// measurement (a non-default metric) to the single-engine result.
 func TestPartitionedGenericPathEquivalence(t *testing.T) {
 	base := genMesh(t, 1000)
 	ctx := context.Background()
 	for i, opt := range []Options{
 		{MaxIters: 3, Tol: -1, Kernel: sumKernel{}},
-		{MaxIters: 3, Tol: -1, NoFastPath: true},
+		{MaxIters: 3, Tol: -1, Kernel: WeightedKernel{}},
+		{MaxIters: 3, Tol: -1, Metric: quality.MinAngle{}},
 	} {
 		ref := base.Clone()
 		refRes, err := Run(ref, opt)
@@ -348,4 +350,38 @@ func TestPartitionedCancellationMidSweep(t *testing.T) {
 		t.Errorf("committed %d iterations after a first-sweep cancellation", res.Iterations)
 	}
 	coordsEqual(t, "no partial publish", m, before)
+}
+
+// TestPartitionedSteadyStateAllocs pins the partitioned driver's
+// steady-state allocation budget: once a warm run has cached the
+// decomposition for the mesh, a run allocates only per-sweep coordination —
+// the goroutines of the sweep and exchange barriers and each partition
+// engine's chunk-body closure, 6 per partition per sweep as measured — and
+// never a decomposition, a local mesh, or a coordinate buffer (a rebuild
+// costs thousands). The bound leaves a little room for runtime variance.
+func TestPartitionedSteadyStateAllocs(t *testing.T) {
+	ctx := context.Background()
+	const iters, k = 3, 4
+	m, m3 := genMesh(t, 4000), genTetMesh(t, 8)
+	for _, dim := range []int{2, 3} {
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			ps := NewPartitionedSmoother()
+			opt := Options{MaxIters: iters, Tol: -1, Workers: 2, Partitions: k}
+			run := func() error { _, err := ps.Run(ctx, m, opt); return err }
+			if dim == 3 {
+				run = func() error { _, err := ps.RunTet(ctx, m3, opt); return err }
+			}
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if ceiling := 6*k*iters + 8; allocs > float64(ceiling) {
+				t.Errorf("%.0f allocs per steady-state %d-iteration %d-partition run, want <= %d", allocs, iters, k, ceiling)
+			}
+		})
+	}
 }

@@ -32,6 +32,14 @@
 // at 2D and 3D through the dim2/dim3 value types (dim.go). Run and
 // RunPartitioned smooth triangle meshes; RunTet and RunPartitionedTet
 // smooth tetrahedral meshes through the very same code.
+//
+// The mesh's coordinate array is the engine's only coordinate state, and
+// each kernel and metric has one arithmetic body (its Update, Triangle or
+// Tet method). One Jacobi chunk body and one in-place sweep per dimension
+// call the kernel through the interface, except that the 2D Jacobi body
+// calls the default PlainKernel through its concrete type; the quality
+// passes and the smart kernel's accept test call the default metrics
+// through their concrete types.
 package smooth
 
 import (
@@ -140,12 +148,6 @@ type Options struct {
 	// Partitions > 1: "bfs" (default) or "bisect", or any strategy added
 	// via partition.Register.
 	Partitioner string
-	// NoFastPath forces the generic interface-dispatch sweep body and the
-	// serial interface-dispatch quality pass, disabling the monomorphic
-	// kernel/metric loops and the parallel quality reduction. Results are
-	// bit-identical either way (the fast-path equivalence suite pins this);
-	// the switch exists for that suite and for before/after benchmarks.
-	NoFastPath bool
 	// Progress, when non-nil, observes the run's convergence live: it is
 	// called serially from the converge loop with the initial measurement
 	// (iteration 0) and then after every measured sweep — the same points

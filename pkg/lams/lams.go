@@ -25,7 +25,9 @@
 package lams
 
 import (
-	"lams/internal/core"
+	"fmt"
+	"time"
+
 	"lams/internal/domains"
 	"lams/internal/geom"
 	"lams/internal/mesh"
@@ -122,7 +124,16 @@ type SpatialGraph = order.Spatial
 // Reordered is a mesh relabeled by an ordering, with the permutation and
 // the time the ordering took (the pre-computation cost the paper's §5.4
 // weighs against the smoothing gain).
-type Reordered = core.Reordered
+type Reordered struct {
+	// Mesh is the renumbered mesh (the input mesh is unchanged).
+	Mesh *Mesh
+	// Ordering is the name of the ordering applied.
+	Ordering string
+	// NewToOld maps new vertex index -> input vertex index.
+	NewToOld []int32
+	// OrderTime is how long computing the permutation took.
+	OrderTime time.Duration
+}
 
 // Orderings lists the registered ordering names in report order: ORI,
 // RANDOM, BFS, DFS, RDR, RCM, HILBERT, MORTON, CPACK, then the
@@ -143,10 +154,35 @@ func RegisterOrdering(name string, factory func() Ordering) { order.Register(nam
 // Reorder relabels m's vertices with the named registered ordering and
 // returns the renumbered mesh (the input is unchanged).
 func Reorder(m *Mesh, orderingName string) (*Reordered, error) {
-	return core.ReorderByName(m, orderingName)
+	ord, err := order.ByName(orderingName)
+	if err != nil {
+		return nil, err
+	}
+	return ReorderWith(m, ord)
 }
 
-// ReorderWith is Reorder with an explicit Ordering implementation.
+// ReorderWith is Reorder with an explicit Ordering implementation. The
+// ordering is driven by the initial edge-length-ratio vertex qualities,
+// which RDR and the quality-rooted BFS variants require.
 func ReorderWith(m *Mesh, ord Ordering) (*Reordered, error) {
-	return core.Reorder(m, ord)
+	perm, elapsed, err := computeOrdering(m, ord, quality.VertexQualities(m, quality.EdgeRatio{}))
+	if err != nil {
+		return nil, err
+	}
+	rm, err := m.Renumber(perm)
+	if err != nil {
+		return nil, fmt.Errorf("lams: applying %s ordering: %w", ord.Name(), err)
+	}
+	return &Reordered{Mesh: rm, Ordering: ord.Name(), NewToOld: perm, OrderTime: elapsed}, nil
+}
+
+// computeOrdering runs ord over g with the vertex qualities vq and times it.
+func computeOrdering(g Graph, ord Ordering, vq []float64) ([]int32, time.Duration, error) {
+	start := time.Now()
+	perm, err := ord.Compute(g, vq)
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, 0, fmt.Errorf("lams: computing %s ordering: %w", ord.Name(), err)
+	}
+	return perm, elapsed, nil
 }

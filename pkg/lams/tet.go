@@ -3,11 +3,12 @@ package lams
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"lams/internal/cache"
-	"lams/internal/core"
 	"lams/internal/geom"
 	"lams/internal/mesh"
+	"lams/internal/order"
 	"lams/internal/quality"
 	"lams/internal/reuse"
 	"lams/internal/smooth"
@@ -111,19 +112,41 @@ func ConstrainedTetKernel(maxDisplacement float64) TetKernel {
 }
 
 // ReorderedTet is a tetrahedral mesh relabeled by an ordering, with the
-// permutation and ordering time.
-type ReorderedTet = core.ReorderedTet
+// permutation and ordering time; the 3D sibling of Reordered.
+type ReorderedTet struct {
+	// Mesh is the renumbered mesh (the input mesh is unchanged).
+	Mesh *TetMesh
+	// Ordering is the name of the ordering applied.
+	Ordering string
+	// NewToOld maps new vertex index -> input vertex index.
+	NewToOld []int32
+	// OrderTime is how long computing the permutation took.
+	OrderTime time.Duration
+}
 
 // ReorderTet relabels m's vertices with the named registered ordering —
 // the same registry the 2D path uses — and returns the renumbered mesh
 // (the input is unchanged).
 func ReorderTet(m *TetMesh, orderingName string) (*ReorderedTet, error) {
-	return core.ReorderTetByName(m, orderingName)
+	ord, err := order.ByName(orderingName)
+	if err != nil {
+		return nil, err
+	}
+	return ReorderTetWith(m, ord)
 }
 
-// ReorderTetWith is ReorderTet with an explicit Ordering implementation.
+// ReorderTetWith is ReorderTet with an explicit Ordering implementation,
+// driven by the initial mean-ratio vertex qualities.
 func ReorderTetWith(m *TetMesh, ord Ordering) (*ReorderedTet, error) {
-	return core.ReorderTet(m, ord)
+	perm, elapsed, err := computeOrdering(m, ord, quality.TetVertexQualities(m, quality.MeanRatio3{}))
+	if err != nil {
+		return nil, err
+	}
+	rm, err := m.Renumber(perm)
+	if err != nil {
+		return nil, fmt.Errorf("lams: applying %s ordering: %w", ord.Name(), err)
+	}
+	return &ReorderedTet{Mesh: rm, Ordering: ord.Name(), NewToOld: perm, OrderTime: elapsed}, nil
 }
 
 // SmoothTet runs Laplacian smoothing on the tetrahedral mesh in place and
