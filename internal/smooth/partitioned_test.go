@@ -14,8 +14,8 @@ import (
 )
 
 // partitionCounts is the partition-count axis of the partitioned
-// equivalence harness: the degenerate single partition, small counts, and
-// more partitions than the host has cores.
+// equivalence harness: one partition (which selects the single engine),
+// small counts, and more partitions than the host has cores.
 var partitionCounts = []int{1, 2, 3, 8}
 
 func partResultsEqual(t *testing.T, label string, got, want Result) {
@@ -66,7 +66,7 @@ func TestPartitionedEquivalence2D(t *testing.T) {
 					name := fmt.Sprintf("%s/k=%d/%s/workers=%d", pname, k, schedule, workers)
 					t.Run(name, func(t *testing.T) {
 						got := base.Clone()
-						res, err := RunPartitioned(ctx, got, Options{
+						res, err := RunContext(ctx, got, Options{
 							MaxIters:    iters,
 							Tol:         -1,
 							Workers:     workers,
@@ -112,7 +112,7 @@ func TestPartitionedEquivalence3D(t *testing.T) {
 					name := fmt.Sprintf("%s/k=%d/%s/workers=%d", pname, k, schedule, workers)
 					t.Run(name, func(t *testing.T) {
 						got := base.Clone()
-						res, err := RunPartitionedTet(ctx, got, Options{
+						res, err := RunTetContext(ctx, got, Options{
 							MaxIters:    iters,
 							Tol:         -1,
 							Workers:     workers,
@@ -157,7 +157,7 @@ func TestPartitionedConvergenceDecisions(t *testing.T) {
 		popt.Partitions, popt.Partitioner = 3, partition.Bisect
 		popt.Workers, popt.Schedule = 4, parallel.ScheduleGuided
 		got := base.Clone()
-		res, err := RunPartitioned(ctx, got, popt)
+		res, err := RunContext(ctx, got, popt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestPartitionedGenericPathEquivalence(t *testing.T) {
 		popt := opt
 		popt.Partitions, popt.Workers = 4, 3
 		got := base.Clone()
-		res, err := RunPartitioned(ctx, got, popt)
+		res, err := RunContext(ctx, got, popt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,13 +206,16 @@ func TestPartitionedGenericPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionedSmootherReuse drives one driver through the lamsd pool's
-// access pattern: repeated runs on the same mesh (decomposition cache
-// hits), a partitioner switch, then a different mesh (cache miss). Every
-// run must match a fresh single-engine run from the same coordinates.
+// TestPartitionedSmootherReuse drives one Smoother through the lamsd pool's
+// access pattern: repeated partitioned runs on the same mesh (decomposition
+// cache hits), a partitioner switch, then a different mesh (cache miss);
+// then through a sequence that switches layout and dimension from run to
+// run. Every run must match a fresh serial single-engine run from the same
+// coordinates, and dropping one dimension's cached mesh must leave the
+// other dimension's decomposition cached.
 func TestPartitionedSmootherReuse(t *testing.T) {
 	ctx := context.Background()
-	ps := NewPartitionedSmoother()
+	s := NewSmoother()
 	reused := genMesh(t, 1200)
 	fresh := reused.Clone()
 	steps := []struct {
@@ -221,7 +224,7 @@ func TestPartitionedSmootherReuse(t *testing.T) {
 	}{{2, "bfs"}, {2, "bfs"}, {3, "bisect"}, {2, "bfs"}}
 	for i, step := range steps {
 		opt := Options{MaxIters: 2, Tol: -1, Workers: 3, Partitions: step.k, Partitioner: step.pname}
-		res, err := ps.Run(ctx, reused, opt)
+		res, err := s.Run(ctx, reused, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,19 +238,57 @@ func TestPartitionedSmootherReuse(t *testing.T) {
 	// Different mesh through the same driver: the cache must rebuild.
 	reused2 := genMesh(t, 700)
 	fresh2 := reused2.Clone()
-	if _, err := ps.Run(ctx, reused2, Options{MaxIters: 2, Tol: -1, Partitions: 2}); err != nil {
+	if _, err := s.Run(ctx, reused2, Options{MaxIters: 2, Tol: -1, Partitions: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(fresh2, Options{MaxIters: 2, Tol: -1}); err != nil {
 		t.Fatal(err)
 	}
 	coordsEqual(t, "second mesh", reused2, fresh2)
+
+	// The same Smoother then switches layout and dimension between runs.
+	m2, m3 := genMesh(t, 900), genTetMesh(t, 5)
+	ref2, ref3 := m2.Clone(), m3.Clone()
+	for i, step := range []struct {
+		dim, k int
+		pname  string
+	}{{2, 1, ""}, {2, 2, "bfs"}, {3, 2, ""}, {2, 1, ""}, {2, 3, "bisect"}} {
+		label := fmt.Sprintf("route %d (dim=%d k=%d)", i, step.dim, step.k)
+		opt := Options{MaxIters: 2, Tol: -1, Workers: 2, Partitions: step.k, Partitioner: step.pname}
+		serial := Options{MaxIters: 2, Tol: -1}
+		var res, refRes Result
+		var err, refErr error
+		if step.dim == 2 {
+			res, err = s.Run(ctx, m2, opt)
+			refRes, refErr = Run(ref2, serial)
+		} else {
+			res, err = s.RunTet(ctx, m3, opt)
+			refRes, refErr = RunTet(ref3, serial)
+		}
+		if err != nil || refErr != nil {
+			t.Fatalf("%s: err = %v, reference err = %v", label, err, refErr)
+		}
+		if step.dim == 2 {
+			coordsEqual(t, label, m2, ref2)
+		} else {
+			tetCoordsEqual(t, label, m3, ref3)
+		}
+		partResultsEqual(t, label, res, refRes)
+	}
+	if !s.DropMeshCache(m2) {
+		t.Error("DropMeshCache(2D mesh) = false after partitioned 2D runs")
+	}
+	if s.DropMeshCache(m2) {
+		t.Error("DropMeshCache(2D mesh) = true a second time")
+	}
+	if !s.DropMeshCache(m3) {
+		t.Error("DropMeshCache(3D mesh) = false after dropping the 2D mesh")
+	}
 }
 
-// TestPartitionedRejections pins the configurations the partitioned driver
+// TestPartitionedRejections pins the configurations the partitioned layout
 // must refuse: in-place updates (whose sequential semantics cannot be
-// decomposed), tracing, bad counts, unknown partitioners — and the single
-// engine refusing partitioned options.
+// decomposed), bad counts, unknown partitioners, and bad worker counts.
 func TestPartitionedRejections(t *testing.T) {
 	m := genMesh(t, 300)
 	before := m.Clone()
@@ -261,12 +302,9 @@ func TestPartitionedRejections(t *testing.T) {
 		{MaxIters: 1, Partitions: 2, Workers: -1},
 	}
 	for i, opt := range bad {
-		if _, err := RunPartitioned(ctx, m, opt); err == nil {
+		if _, err := RunContext(ctx, m, opt); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, opt)
 		}
-	}
-	if _, err := NewSmoother().Run(ctx, m, Options{MaxIters: 1, Partitions: 2}); err == nil {
-		t.Error("single engine accepted partitions > 1")
 	}
 	coordsEqual(t, "untouched after rejections", m, before)
 }
@@ -302,16 +340,16 @@ func TestPartitionedCancellationMidExchange(t *testing.T) {
 		// Prime the decomposition with a run that stops before its first
 		// sweep (GoalQuality below any real quality), then wrap the cached
 		// exchanger so the next run trips mid-exchange.
-		ps := NewPartitionedSmoother()
-		prime, err := ps.Run(ctx, got, Options{GoalQuality: -1, Tol: -1, Partitions: k})
+		s := NewSmoother()
+		prime, err := s.Run(ctx, got, Options{GoalQuality: -1, Tol: -1, Partitions: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if prime.Iterations != 0 {
 			t.Fatalf("priming run swept %d times", prime.Iterations)
 		}
-		ps.p2.ex = &trippingExchanger{inner: ps.p2.ex, tripAt: tripAt, cancel: cancel}
-		res, err := ps.Run(ctx, got, Options{MaxIters: 6, Tol: -1, Workers: 2, Partitions: k})
+		s.p2.ex = &trippingExchanger{inner: s.p2.ex, tripAt: tripAt, cancel: cancel}
+		res, err := s.Run(ctx, got, Options{MaxIters: 6, Tol: -1, Workers: 2, Partitions: k})
 		if err != context.Canceled {
 			t.Fatalf("tripAt=%d: err = %v, want context.Canceled", tripAt, err)
 		}
@@ -340,7 +378,7 @@ func TestPartitionedCancellationMidSweep(t *testing.T) {
 	before := m.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	kern := concurrentCancelKernel{after: 40, calls: new(atomic.Int64), cancel: cancel}
-	res, err := RunPartitioned(ctx, m, Options{
+	res, err := RunContext(ctx, m, Options{
 		MaxIters: 10, Tol: -1, Workers: 2, Partitions: 3, Kernel: kern,
 	})
 	if err != context.Canceled {
@@ -365,11 +403,11 @@ func TestPartitionedSteadyStateAllocs(t *testing.T) {
 	m, m3 := genMesh(t, 4000), genTetMesh(t, 8)
 	for _, dim := range []int{2, 3} {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
-			ps := NewPartitionedSmoother()
+			s := NewSmoother()
 			opt := Options{MaxIters: iters, Tol: -1, Workers: 2, Partitions: k}
-			run := func() error { _, err := ps.Run(ctx, m, opt); return err }
+			run := func() error { _, err := s.Run(ctx, m, opt); return err }
 			if dim == 3 {
-				run = func() error { _, err := ps.RunTet(ctx, m3, opt); return err }
+				run = func() error { _, err := s.RunTet(ctx, m3, opt); return err }
 			}
 			if err := run(); err != nil {
 				t.Fatal(err)

@@ -20,18 +20,20 @@
 // did not change the number of iterations needed". A Gauss–Seidel in-place
 // variant is provided for the serial ablation study.
 //
-// The same Jacobi property underwrites the domain-decomposed driver
-// (PartitionedSmoother): one engine per halo-carrying partition,
-// synchronized by a per-sweep ghost exchange, with convergence decided on
-// the global mesh — bit-identical to the single-engine run at any
-// partition count.
+// Smoother is the one entry point for both dimensions and both execution
+// layouts: Run smooths triangle meshes and RunTet tetrahedral meshes, and
+// the one-shot Run/RunContext and RunTet/RunTetContext wrap a fresh
+// Smoother. Options with Partitions > 1 select the domain-decomposed
+// layout (partitioned.go): one engine per halo-carrying partition,
+// synchronized by a per-sweep ghost exchange. The same Jacobi property
+// makes it bit-identical to the single engine at any partition count.
+// Both layouts share one preamble and one convergence loop (engine.go),
+// and both measure global quality on the whole mesh.
 //
-// The paper's argument is dimension-agnostic, and so is the engine: one
-// generic convergence loop (engine.go), one kernel set and registry
-// (kernel.go), and one partitioned driver (partitioned.go) are instantiated
-// at 2D and 3D through the dim2/dim3 value types (dim.go). Run and
-// RunPartitioned smooth triangle meshes; RunTet and RunPartitionedTet
-// smooth tetrahedral meshes through the very same code.
+// The paper's argument is dimension-agnostic, and so is the engine: the
+// loop, the kernel set and registry (kernel.go), and the partitioned
+// layout are written once and instantiated at 2D and 3D through the
+// dim2/dim3 value types (dim.go).
 //
 // The mesh's coordinate array is the engine's only coordinate state, and
 // each kernel and metric has one arithmetic body (its Update, Triangle or
@@ -136,13 +138,13 @@ type Options struct {
 	// sweep is always measured so FinalQuality stays exact. The smoothed
 	// coordinates are unaffected: sweeps never read the measurement.
 	CheckEvery int
-	// Partitions > 1 decomposes the mesh and runs one engine per
-	// partition with per-sweep halo exchange (see PartitionedSmoother);
-	// Run/RunContext and RunTet/RunTetContext route such options to the
-	// partitioned driver. Jacobi updates make the result bit-identical to
-	// the single-engine run at any partition count. 0 or 1 selects the
-	// single engine. Partitioned runs reject in-place kernels,
-	// GaussSeidel, and Trace.
+	// Partitions > 1 decomposes the mesh and sweeps it with one engine
+	// per partition, exchanging halo coordinates after every sweep; the
+	// Smoother keeps the decomposition for later runs on the same mesh.
+	// Jacobi updates make the result bit-identical to the single-engine
+	// run at any partition count. 0 or 1 selects the single engine;
+	// negative counts are rejected. Partitioned runs reject in-place
+	// kernels, GaussSeidel, and Trace.
 	Partitions int
 	// Partitioner names the registered decomposition strategy for
 	// Partitions > 1: "bfs" (default) or "bisect", or any strategy added
@@ -156,7 +158,9 @@ type Options struct {
 	Progress func(iteration int, quality float64)
 	// Checkpoint, when non-nil, is called serially from the converge loop
 	// with a self-contained snapshot of the run after every
-	// CheckpointEvery-th measured sweep that did not end the run. A run
+	// CheckpointEvery-th measured sweep, except one whose quality gain fell
+	// below Tol and so stopped the run; the final sweep at MaxIters and the
+	// sweep that reaches GoalQuality do emit. A run
 	// resumed from any emitted Checkpoint finishes with bit-identical
 	// coordinates, Iterations, Accesses, and QualityHistory to the
 	// uninterrupted run. The snapshot owns its memory; the callback may
@@ -210,13 +214,15 @@ func (o Options) withDefaults() Options {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 1
 	}
+	if o.Partitions == 0 {
+		o.Partitions = 1
+	}
 	return o
 }
 
 // validate rejects invalid resolved options with the same errors in both
-// dimensions; the partitioned driver has its own tracing and partition-count
-// rules. Called after withDefaults.
-func (o Options) validate(partitioned bool) error {
+// dimensions and both layouts. Called after withDefaults.
+func (o Options) validate() error {
 	if o.Workers < 1 {
 		return fmt.Errorf("smooth: workers must be >= 1, got %d", o.Workers)
 	}
@@ -226,17 +232,16 @@ func (o Options) validate(partitioned bool) error {
 	if o.CheckpointEvery < 1 {
 		return fmt.Errorf("smooth: checkpoint-every must be >= 1, got %d", o.CheckpointEvery)
 	}
-	if partitioned {
-		if o.Trace != nil {
+	if o.Partitions < 1 {
+		return fmt.Errorf("smooth: partitions must be >= 1, got %d", o.Partitions)
+	}
+	if o.Trace != nil {
+		if o.Partitions > 1 {
 			return fmt.Errorf("smooth: partitioned runs do not support tracing")
 		}
-		return nil
-	}
-	if o.Partitions > 1 {
-		return fmt.Errorf("smooth: Smoother is a single engine; partitions=%d needs RunPartitioned or a PartitionedSmoother", o.Partitions)
-	}
-	if o.Trace != nil && o.Trace.NumCores() < o.Workers {
-		return fmt.Errorf("smooth: trace buffer has %d cores, need %d", o.Trace.NumCores(), o.Workers)
+		if o.Trace.NumCores() < o.Workers {
+			return fmt.Errorf("smooth: trace buffer has %d cores, need %d", o.Trace.NumCores(), o.Workers)
+		}
 	}
 	return nil
 }
@@ -257,19 +262,16 @@ type Result struct {
 
 // Run smooths the triangle mesh in place with a one-shot engine and returns
 // the run statistics. Callers that smooth repeatedly should hold a Smoother
-// (or a PartitionedSmoother) and use its Run method, which reuses the
-// scratch buffers across runs.
+// and use its Run method, which reuses the scratch buffers and the
+// partitioned layout's mesh decomposition across runs.
 func Run(m *mesh.Mesh, opt Options) (Result, error) {
 	return RunContext(context.Background(), m, opt)
 }
 
 // RunContext is Run with cancellation: the context is checked between
-// iterations and between worker chunks. Options with Partitions > 1 route
-// to the multi-engine partitioned driver.
+// iterations, between worker chunks, and during partitioned halo
+// exchanges.
 func RunContext(ctx context.Context, m *mesh.Mesh, opt Options) (Result, error) {
-	if opt.Partitions > 1 {
-		return RunPartitioned(ctx, m, opt)
-	}
 	return NewSmoother().Run(ctx, m, opt)
 }
 
@@ -281,8 +283,5 @@ func RunTet(m *mesh.TetMesh, opt Options) (Result, error) {
 
 // RunTetContext is RunTet with cancellation; see RunContext.
 func RunTetContext(ctx context.Context, m *mesh.TetMesh, opt Options) (Result, error) {
-	if opt.Partitions > 1 {
-		return RunPartitionedTet(ctx, m, opt)
-	}
 	return NewSmoother().RunTet(ctx, m, opt)
 }

@@ -192,6 +192,22 @@ func TestSmoothCancellation(t *testing.T) {
 	}
 }
 
+// TestSmoothRejectsNegativePartitions pins WithPartitions(k < 0) to the
+// same treatment as the other negative counts: the run fails before it
+// touches the mesh.
+func TestSmoothRejectsNegativePartitions(t *testing.T) {
+	m := testMesh(t, 600)
+	before := m.Clone()
+	if _, err := lams.Smooth(context.Background(), m, lams.WithPartitions(-2)); err == nil {
+		t.Error("WithPartitions(-2) accepted")
+	}
+	for i := range before.Coords {
+		if m.Coords[i] != before.Coords[i] {
+			t.Fatalf("vertex %d moved by a rejected run", i)
+		}
+	}
+}
+
 func TestSmootherReuseAndKernels(t *testing.T) {
 	base := testMesh(t, 1200)
 	s := lams.NewSmoother()

@@ -129,9 +129,10 @@ func WithSchedule(name string) SmoothOption {
 // sweep barrier — the domain-decomposition execution mode. Jacobi updates
 // make the smoothed coordinates, quality history, and access counts
 // bit-identical to the single-engine run at any partition count; only the
-// execution layout changes. k <= 1 selects the single engine. Partitioned
-// runs reject in-place kernels (SmartKernel), WithGaussSeidel, and
-// WithTrace. Applies to Smooth and SmoothTet alike.
+// execution layout changes. k == 0 or 1 selects the single engine; a
+// negative k makes the run fail. Partitioned runs reject in-place kernels
+// (SmartKernel), WithGaussSeidel, and WithTrace. Applies to Smooth and
+// SmoothTet alike.
 func WithPartitions(k int) SmoothOption {
 	return func(c *smoothConfig) { c.opt.Partitions = k }
 }
@@ -241,8 +242,10 @@ func WithProgress(fn func(iteration int, quality float64)) SmoothOption {
 type Checkpoint = smooth.Checkpoint
 
 // WithCheckpoint calls fn serially from the converge loop with a snapshot
-// of the run after every WithCheckpointEvery-th measured sweep that did
-// not end the run. The snapshot owns its memory, so fn may hand it to a
+// of the run after every WithCheckpointEvery-th measured sweep, except one
+// whose quality gain fell below the tolerance and so stopped the run; the
+// final sweep at the iteration cap and the sweep that reaches the goal
+// quality do emit. The snapshot owns its memory, so fn may hand it to a
 // persistence goroutine. Applies to Smooth and SmoothTet alike.
 func WithCheckpoint(fn func(Checkpoint)) SmoothOption {
 	return func(c *smoothConfig) { c.opt.Checkpoint = fn }
@@ -340,51 +343,32 @@ func SmoothTraced(ctx context.Context, m *Mesh, workers, iters int) (SmoothResul
 // next-coordinate, and quality scratch buffers across runs, so services
 // that smooth many meshes (or one mesh repeatedly) stop reallocating on the
 // hot path. The one dimension-generic engine underneath serves triangular
-// and tetrahedral meshes alike from a single pooled instance. Not safe for
-// concurrent use; the zero value is ready.
+// and tetrahedral meshes alike from a single pooled instance, and runs
+// with WithPartitions(k > 1) additionally keep the mesh decomposition
+// across runs. Not safe for concurrent use; the zero value is ready.
 type Smoother struct {
 	engine smooth.Smoother
-
-	// The partitioned driver is allocated on first use: most Smoother
-	// holders never run partitioned, and the driver caches a per-mesh
-	// decomposition worth keeping across runs when they do.
-	parted *smooth.PartitionedSmoother
 }
 
 // NewSmoother returns a reusable smoothing engine.
 func NewSmoother() *Smoother { return &Smoother{} }
 
-// Smooth is like the package-level Smooth but reuses the engine's buffers.
-// Options with WithPartitions(k > 1) route to the engine's partitioned
-// driver, which additionally caches the mesh decomposition across runs.
+// Smooth is like the package-level Smooth but reuses the engine's buffers
+// and, for partitioned runs, its cached mesh decomposition.
 func (s *Smoother) Smooth(ctx context.Context, m *Mesh, opts ...SmoothOption) (SmoothResult, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return SmoothResult{}, err
 	}
-	if o.Partitions > 1 {
-		if s.parted == nil {
-			s.parted = smooth.NewPartitionedSmoother()
-		}
-		return s.parted.Run(ctx, m, o)
-	}
 	return s.engine.Run(ctx, m, o)
 }
 
 // SmoothTet is like the package-level SmoothTet but reuses the engine's
-// buffers. Options with WithPartitions(k > 1) route to the engine's
-// partitioned driver, which additionally caches the mesh decomposition
-// across runs.
+// buffers and, for partitioned runs, its cached mesh decomposition.
 func (s *Smoother) SmoothTet(ctx context.Context, m *TetMesh, opts ...SmoothOption) (SmoothResult, error) {
 	o, err := buildOptions3(opts)
 	if err != nil {
 		return SmoothResult{}, err
-	}
-	if o.Partitions > 1 {
-		if s.parted == nil {
-			s.parted = smooth.NewPartitionedSmoother()
-		}
-		return s.parted.RunTet(ctx, m, o)
 	}
 	return s.engine.RunTet(ctx, m, o)
 }
@@ -393,34 +377,18 @@ func (s *Smoother) SmoothTet(ctx context.Context, m *TetMesh, opts ...SmoothOpti
 // decompositions. Engine pools call it when parking an engine that last
 // smoothed an unusually large mesh, so idle engines do not pin their
 // high-water-mark memory; the buffers re-grow on the next run.
-func (s *Smoother) Reset() {
-	s.engine.Reset()
-	s.parted = nil
-}
+func (s *Smoother) Reset() { s.engine.Reset() }
 
-// DropMeshCache releases any per-mesh state the engine caches for m (the
-// partitioned driver keeps a mesh decomposition warm across runs), and
+// DropMeshCache releases any per-mesh state the engine caches for m (a
+// partitioned run keeps the mesh decomposition warm across runs), and
 // reports whether anything was dropped. m is the *Mesh or *TetMesh the
 // cache would reference; services call this when a mesh is evicted so a
 // warm pooled engine cannot pin the deleted mesh — and its O(mesh)
 // decomposition — until the whole pool is trimmed.
-func (s *Smoother) DropMeshCache(m any) bool {
-	if s.parted == nil {
-		return false
-	}
-	if cm := s.parted.CachedMesh(); cm != nil && any(cm) == m {
-		s.parted = nil
-		return true
-	}
-	if cm := s.parted.CachedTetMesh(); cm != nil && any(cm) == m {
-		s.parted = nil
-		return true
-	}
-	return false
-}
+func (s *Smoother) DropMeshCache(m any) bool { return s.engine.DropMeshCache(m) }
 
-// DropPartitionCaches unconditionally releases the partitioned driver and
-// its cached decomposition, keeping the rest of the engine's
-// (mesh-agnostic) scratch warm. The conservative form of DropMeshCache for
-// callers that no longer know which meshes are stale.
-func (s *Smoother) DropPartitionCaches() { s.parted = nil }
+// DropPartitionCaches unconditionally releases every cached mesh
+// decomposition, keeping the rest of the engine's (mesh-agnostic) scratch
+// warm. The conservative form of DropMeshCache for callers that no longer
+// know which meshes are stale.
+func (s *Smoother) DropPartitionCaches() { s.engine.DropPartitionCaches() }

@@ -7,12 +7,15 @@ package lamsd
 // bounded drain at Close.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -430,5 +433,48 @@ func mustUnmarshal(t *testing.T, data []byte, dst any) {
 	t.Helper()
 	if err := json.Unmarshal(data, dst); err != nil {
 		t.Fatalf("unmarshal %s: %v", data, err)
+	}
+}
+
+// TestWriteFileAtomicFailureKeepsPrevious pins the one atomic writer behind
+// snapshots, journal compaction, and job checkpoints: a write callback that
+// fails partway leaves the previous file byte-identical and no temp file
+// behind, and one that succeeds replaces the file whole.
+func TestWriteFileAtomicFailureKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	prev := []byte("previous complete contents\n")
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := writeFileAtomic(path, "test", 0, func(bw *bufio.Writer) error {
+		// More than the buffer holds, so part of it reaches the temp file.
+		if _, err := bw.WriteString(strings.Repeat("torn ", 5000)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Errorf("previous file after a failed write = %q (err %v), want %q", got, err, prev)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind after a failed write: stat err = %v", err)
+	}
+
+	err = writeFileAtomic(path, "test", 0, func(bw *bufio.Writer) error {
+		_, err := bw.WriteString("new\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new\n" {
+		t.Errorf("file after a successful write = %q (err %v), want %q", got, err, "new\n")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind after a successful write: stat err = %v", err)
 	}
 }

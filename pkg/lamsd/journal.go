@@ -31,10 +31,7 @@ import (
 // (job-<id>.ckpt, written atomically on every checkpoint emission) when one
 // survived. The journal is then compacted down to those pending accepts, so
 // it never grows beyond the interrupted work plus the records since boot.
-const (
-	journalName = "jobs.journal"
-	journalTmp  = "jobs.journal.tmp"
-)
+const journalName = "jobs.journal"
 
 type journalOp string
 
@@ -219,49 +216,26 @@ func replayJournal(dir string) ([]pendingJob, uint64, error) {
 // replay so the journal restarts from the interrupted work instead of
 // accreting the full history of every boot.
 func compactJournal(dir string, pending []pendingJob) error {
-	tmp := filepath.Join(dir, journalTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("lamsd: compacting job journal: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	defer f.Close()
-
-	bw := bufio.NewWriter(f)
-	for _, pj := range pending {
-		rec := journalRecord{
-			Op:        opAccept,
-			Job:       pj.id,
-			Seq:       pj.seq,
-			Tenant:    pj.tenant,
-			MeshID:    pj.meshID,
-			MaxIters:  pj.maxIters,
-			TimeoutNS: int64(pj.timeout),
-			Created:   pj.created,
-			Request:   &pj.request,
-			Attempt:   pj.attempts,
+	return writeFileAtomic(filepath.Join(dir, journalName), "compacting job journal", 0, func(bw *bufio.Writer) error {
+		for _, pj := range pending {
+			rec := journalRecord{
+				Op:        opAccept,
+				Job:       pj.id,
+				Seq:       pj.seq,
+				Tenant:    pj.tenant,
+				MeshID:    pj.meshID,
+				MaxIters:  pj.maxIters,
+				TimeoutNS: int64(pj.timeout),
+				Created:   pj.created,
+				Request:   &pj.request,
+				Attempt:   pj.attempts,
+			}
+			if err := writeJSONLine(bw, rec); err != nil {
+				return err
+			}
 		}
-		if err := writeJSONLine(bw, rec); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("lamsd: compacting job journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("lamsd: compacting job journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("lamsd: compacting job journal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, journalName)); err != nil {
-		return fmt.Errorf("lamsd: compacting job journal: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+		return nil
+	})
 }
 
 // --- per-job engine checkpoints ---
@@ -273,35 +247,18 @@ func jobCheckpointPath(dir, id string) string {
 	return filepath.Join(dir, "job-"+id+".ckpt")
 }
 
-// writeJobCheckpoint persists cp atomically (temp file + fsync + rename).
-// JSON round-trips float64 exactly, so a resume from the reloaded
-// checkpoint stays bit-identical to one from the in-memory original.
+// writeJobCheckpoint persists cp atomically (see writeFileAtomic). JSON
+// round-trips float64 exactly, so a resume from the reloaded checkpoint
+// stays bit-identical to one from the in-memory original. The encoder
+// writes the same bytes as json.Marshal plus a newline, without the
+// intermediate copy.
 func writeJobCheckpoint(dir, id string, cp *lams.Checkpoint) error {
-	b, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("lamsd: job checkpoint: %w", err)
-	}
-	path := jobCheckpointPath(dir, id)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("lamsd: job checkpoint: %w", err)
-	}
-	defer os.Remove(tmp)
-	defer f.Close()
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("lamsd: job checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("lamsd: job checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("lamsd: job checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("lamsd: job checkpoint: %w", err)
-	}
-	return nil
+	return writeFileAtomic(jobCheckpointPath(dir, id), "job checkpoint", 0, func(bw *bufio.Writer) error {
+		if err := json.NewEncoder(bw).Encode(cp); err != nil {
+			return fmt.Errorf("lamsd: job checkpoint: %w", err)
+		}
+		return nil
+	})
 }
 
 // loadJobCheckpoint returns the job's persisted checkpoint, or nil when none

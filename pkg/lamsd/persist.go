@@ -103,41 +103,56 @@ func (s *Server) writeSnapshot() error {
 		return err
 	}
 	recs := s.store.List()
-	tmp := filepath.Join(s.cfg.DataDir, snapshotTmp)
+	return writeFileAtomic(filepath.Join(s.cfg.DataDir, snapshotName), "snapshot", 1<<20, func(bw *bufio.Writer) error {
+		fmt.Fprintf(bw, "%s\n", snapshotMagic)
+		manifest := snapManifest{Saved: time.Now().UTC(), Count: len(recs), NextSeq: s.store.Seq()}
+		if err := writeJSONLine(bw, manifest); err != nil {
+			return err
+		}
+		var nodeBuf, eleBuf bytes.Buffer
+		for _, rec := range recs {
+			if err := writeSnapshotRecord(bw, rec, &nodeBuf, &eleBuf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeFileAtomic replaces the file at path with what write produces, so
+// a crash leaves either the previous file or the new one, never a torn
+// mix. It writes path+".tmp" through a bufSize-byte buffer (0 selects
+// bufio's default), flushes, fsyncs and closes it, renames it over path,
+// and fsyncs the directory so the rename itself is durable (best effort:
+// not every filesystem supports directory fsync). On any failure the temp
+// file is removed and the previous file is left as it was. Errors of its
+// own steps read "lamsd: <what>: ..."; write's errors are returned as is.
+func writeFileAtomic(path, what string, bufSize int, write func(*bufio.Writer) error) error {
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("lamsd: snapshot: %w", err)
+		return fmt.Errorf("lamsd: %s: %w", what, err)
 	}
 	defer os.Remove(tmp) // no-op after the rename succeeds
 	defer f.Close()
 
-	bw := bufio.NewWriterSize(f, 1<<20)
-	fmt.Fprintf(bw, "%s\n", snapshotMagic)
-	manifest := snapManifest{Saved: time.Now().UTC(), Count: len(recs), NextSeq: s.store.Seq()}
-	if err := writeJSONLine(bw, manifest); err != nil {
+	bw := bufio.NewWriterSize(f, bufSize)
+	if err := write(bw); err != nil {
 		return err
 	}
-	var nodeBuf, eleBuf bytes.Buffer
-	for _, rec := range recs {
-		if err := writeSnapshotRecord(bw, rec, &nodeBuf, &eleBuf); err != nil {
-			return err
-		}
-	}
 	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("lamsd: snapshot: %w", err)
+		return fmt.Errorf("lamsd: %s: %w", what, err)
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("lamsd: snapshot: %w", err)
+		return fmt.Errorf("lamsd: %s: %w", what, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("lamsd: snapshot: %w", err)
+		return fmt.Errorf("lamsd: %s: %w", what, err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.cfg.DataDir, snapshotName)); err != nil {
-		return fmt.Errorf("lamsd: snapshot: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("lamsd: %s: %w", what, err)
 	}
-	// Persist the rename itself (best effort: not every filesystem
-	// supports directory fsync).
-	if d, err := os.Open(s.cfg.DataDir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
